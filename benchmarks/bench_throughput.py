@@ -12,18 +12,18 @@ ingredient lines (100 only in smoke mode):
 * **worker scaling** (PR 2, reshaped by ISSUE 9): the sharded
   two-phase corpus engine at 1 / 2 / 4 workers on a large
   duplication-saturated corpus — pinned chunk size, warm pool,
-  ``force_pool=True`` so every count pays the same pool cost — in
-  *two* recorded series, the columnar hot path and the
-  ``REPRO_COLUMNAR=0`` per-line oracle.  Floors: >= 2x the
-  single-process batch path at the top worker count, single-process
-  columnar table >= 1.5x per-line, and a monotonic non-regression
-  gate (N workers >= 0.9x the best smaller count, up to the host's
-  core count) that also runs in CI smoke mode,
-* **duplicate collapse** (ISSUE 10): the two-phase engine with
-  coordinator-side duplicate collapse vs the ``dedup=False``
-  per-occurrence oracle on the high-reuse Zipf corpus
-  (distinct/total ≈ 0.15), outputs asserted equal, floor >= 2x —
-  enforced in smoke mode too,
+  ``force_pool=True`` so every count pays the same pool cost.
+  Floors: >= 2x the single-process batch path at the top worker
+  count, the single-process columnar table >= 1.5x a per-line
+  ``_estimate_line`` loop over the same two-phase protocol, and a
+  monotonic non-regression gate (N workers >= 0.9x the best smaller
+  count, up to the host's core count) that also runs in CI smoke
+  mode,
+* **duplicate collapse**: the two-phase protocol
+  (``corpus_estimate_table``) over the collapsed distinct-line table
+  vs one ``(text, 1)`` item per occurrence, on the high-reuse Zipf
+  corpus (distinct/total ≈ 0.15), outputs asserted equal, floor
+  >= 2x — enforced in smoke mode too,
 * **perceptron emissions** (PR 2): the vectorized interned-feature
   emission path against the dict-based reference loop.
 
@@ -44,6 +44,7 @@ import json
 import os
 import statistics
 import time
+from collections import Counter
 
 from conftest import (
     BENCH_CHUNK_SIZE,
@@ -58,6 +59,7 @@ from repro import (
     ShardedCorpusEstimator,
     load_default_database,
 )
+from repro.core.estimator import STATUS_FULL, STATUS_NAME_ONLY
 from repro.matching.jaccard import modified_jaccard, vanilla_jaccard
 from repro.matching.matcher import DescriptionMatcher, MatcherConfig
 from repro.matching.preprocess import preprocess_description, preprocess_words
@@ -66,6 +68,7 @@ from repro.ner import AveragedPerceptronTagger
 from repro.ner.features import extract_features
 from repro.recipedb.generator import GeneratorConfig
 from repro.text.lemmatizer import WordNetStyleLemmatizer
+from repro.units.fallback import UnitFallback
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 SCALES: tuple[int, ...] = (100,) if SMOKE else (100, 1000, 10000)
@@ -87,13 +90,13 @@ SCALING_LINE_REUSE = 0.8
 #: batch path.  Only enforced in full mode — the smoke corpus is too
 #: small to amortize pool startup and IPC.
 MIN_WORKER_SPEEDUP = 2.0
-#: Acceptance floor: single-process columnar two-phase table vs the
-#: per-line reference on the same corpus, under the paper's
+#: Acceptance floor: single-process columnar two-phase table vs a
+#: per-line ``_estimate_line`` loop on the same corpus, under the paper's
 #: trained-perceptron configuration (full mode only; the smoke
 #: corpus is too small for stable stage timings).
 MIN_COLUMNAR_SPEEDUP = 1.5
-#: Acceptance floor: two-phase engine with coordinator-side duplicate
-#: collapse vs the ``dedup=False`` per-occurrence oracle on the
+#: Acceptance floor: the two-phase protocol over the collapsed
+#: distinct-line table vs one item per occurrence on the
 #: high-reuse Zipf corpus (distinct/total ≈ 0.15).  Enforced in smoke
 #: mode too — the win is per-line work skipped, which does not need a
 #: large corpus to show.
@@ -205,18 +208,32 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def _per_line_table(estimator, counts: dict[str, int]) -> dict:
+    """The two-phase protocol as a per-line ``_estimate_line`` loop —
+    the reference the columnar table is timed against."""
+    stats = UnitFallback(estimator.fallback.max_grams)
+    table = {}
+    for text, count in counts.items():
+        table[text] = estimate = estimator._estimate_line(text)
+        if estimate.status == STATUS_FULL:
+            stats.observe(
+                estimate.parsed.name, estimate.resolution.unit, count
+            )
+    for text, estimate in list(table.items()):
+        if estimate.status == STATUS_NAME_ONLY:
+            table[text] = estimator._estimate_line(text, stats)
+    return table
+
+
 def bench_worker_scaling() -> dict:
-    """Sharded corpus engine at several worker counts, columnar and
-    per-line, vs the single-process paths on the same corpus.
+    """Sharded corpus engine at several worker counts vs the
+    single-process paths on the same corpus.
 
     Every engine run is shaped identically — pinned chunk size, a
     warm pool (``ensure_pool()`` before the clock starts, and
     ``force_pool=True`` so ``workers=1`` pays the same pool/IPC cost
     as the multi-worker entries instead of taking the in-process
-    shortcut) — so the series measures *scaling*, not pool startup.
-    Both the columnar hot path and the ``REPRO_COLUMNAR=0`` per-line
-    oracle are recorded: the oracle series is the regression
-    reference proving the columnar win survives the pool."""
+    shortcut) — so the series measures *scaling*, not pool startup."""
     generator = RecipeGenerator(
         config=GeneratorConfig(seed=7, line_reuse=SCALING_LINE_REUSE)
     )
@@ -232,7 +249,7 @@ def bench_worker_scaling() -> dict:
     )
     batch_rate = n_lines / batch_s
 
-    # Single-process two-phase table: per-line oracle vs columnar,
+    # Single-process two-phase table: per-line loop vs columnar,
     # under both taggers.  The trained perceptron is the paper's
     # configuration and carries the acceptance floor — its batched
     # Viterbi path is where the columnar restructure pays most; the
@@ -250,14 +267,12 @@ def bench_worker_scaling() -> dict:
     def table_pair(tagger) -> dict:
         per_line_s = _best_of(
             2,
-            lambda: NutritionEstimator(
-                tagger=tagger
-            ).corpus_estimate_table(counts),
+            lambda: _per_line_table(NutritionEstimator(tagger=tagger), counts),
         )
         columnar_s = _best_of(
             2,
             lambda: NutritionEstimator(tagger=tagger).corpus_estimate_table(
-                counts, columnar=True
+                counts
             ),
         )
         return {
@@ -266,35 +281,21 @@ def bench_worker_scaling() -> dict:
             "columnar_speedup": round(per_line_s / columnar_s, 2),
         }
 
-    def engine_series(columnar: bool) -> list[dict]:
-        series = []
-        saved = os.environ.get("REPRO_COLUMNAR")
-        os.environ["REPRO_COLUMNAR"] = "1" if columnar else "0"
-        try:
-            for workers in WORKER_COUNTS:
-                with ShardedCorpusEstimator(
-                    workers=workers,
-                    chunk_size=BENCH_CHUNK_SIZE,
-                    force_pool=True,
-                ) as engine:
-                    engine.ensure_pool()
-                    elapsed = _timed(
-                        lambda: engine.estimate_corpus(recipes)
-                    )
-                rate = n_lines / elapsed
-                series.append({
-                    "workers": workers,
-                    "corpus_lines_per_sec": round(rate),
-                    "speedup_vs_single_process_batch": round(
-                        rate / batch_rate, 2
-                    ),
-                })
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_COLUMNAR", None)
-            else:
-                os.environ["REPRO_COLUMNAR"] = saved
-        return series
+    series = []
+    for workers in WORKER_COUNTS:
+        with ShardedCorpusEstimator(
+            workers=workers,
+            chunk_size=BENCH_CHUNK_SIZE,
+            force_pool=True,
+        ) as engine:
+            engine.ensure_pool()
+            elapsed = _timed(lambda: engine.estimate_corpus(recipes))
+        rate = n_lines / elapsed
+        series.append({
+            "workers": workers,
+            "corpus_lines_per_sec": round(rate),
+            "speedup_vs_single_process_batch": round(rate / batch_rate, 2),
+        })
 
     return {
         "recipes": len(recipes),
@@ -309,8 +310,7 @@ def bench_worker_scaling() -> dict:
             "rule_tagger": table_pair(None),
             "perceptron": table_pair(perceptron),
         },
-        "series_per_line": engine_series(columnar=False),
-        "series_columnar": engine_series(columnar=True),
+        "series_columnar": series,
     }
 
 
@@ -331,26 +331,32 @@ def assert_scaling_non_regression(series: list[dict], cores: int) -> None:
 
 
 def bench_dedup_collapse() -> dict:
-    """Duplicate collapse vs the per-occurrence oracle (ISSUE 10).
+    """Duplicate collapse vs one item per occurrence.
 
-    Both runs are the identical single-process two-phase engine on the
-    high-reuse Zipf corpus; only coordinator-side duplicate collapse
-    differs.  Each engine is warmed with one untimed pass first (the
-    same convention as the pool series' ``ensure_pool``) so the series
-    measures collapse, not estimator cold start — the memo caches are
-    equally warm in both modes.  The outputs are asserted equal — the
-    speedup is pure skipped work, never changed results."""
+    Both runs are the identical single-process two-phase protocol
+    (``corpus_estimate_table``) on the high-reuse Zipf corpus; only
+    the line table differs — the collapsed distinct-line counts, or
+    one ``(text, 1)`` item per occurrence.  The estimator is warmed
+    with one untimed pass first so the series measures collapse, not
+    estimator cold start — the memo caches are equally warm for both
+    tables.  The outputs are asserted equal — the speedup is pure
+    skipped work, never changed results."""
     recipes = high_reuse_corpus()
-    n_lines = sum(len(r.ingredient_texts) for r in recipes)
-    distinct = len({t for r in recipes for t in r.ingredient_texts})
+    occurrences = [(t, 1) for r in recipes for t in r.ingredient_texts]
+    n_lines = len(occurrences)
+    tables = {
+        "dedup": list(Counter(t for t, _ in occurrences).items()),
+        "no_dedup": occurrences,
+    }
+    distinct = len(tables["dedup"])
 
+    estimator = NutritionEstimator()
     elapsed: dict[str, float] = {}
-    estimates: dict[str, list] = {}
-    for label, dedup in (("dedup", True), ("no_dedup", False)):
-        engine = ShardedCorpusEstimator(workers=1, dedup=dedup)
-        estimates[label] = engine.estimate_corpus(recipes)
+    estimates: dict[str, dict] = {}
+    for label, items in tables.items():
+        estimates[label] = estimator.corpus_estimate_table(items)
         elapsed[label] = _best_of(
-            2, lambda: engine.estimate_corpus(recipes)
+            2, lambda: estimator.corpus_estimate_table(items)
         )
     # Bit-identical output is part of the measurement's contract.
     assert estimates["dedup"] == estimates["no_dedup"]
@@ -478,13 +484,12 @@ def test_throughput():
         assert scale["batch_two_pass_lines_per_sec"] > 0
     scaling = report["worker_scaling"]
     cores = scaling["host_cores"]
-    for key in ("series_per_line", "series_columnar"):
-        series = scaling[key]
-        assert len(series) == len(WORKER_COUNTS)
-        assert all(s["corpus_lines_per_sec"] > 0 for s in series)
-        # The regression gate runs in smoke mode too: the CI smoke
-        # job fails the build on a scaling violation.
-        assert_scaling_non_regression(series, cores)
+    series = scaling["series_columnar"]
+    assert len(series) == len(WORKER_COUNTS)
+    assert all(s["corpus_lines_per_sec"] > 0 for s in series)
+    # The regression gate runs in smoke mode too: the CI smoke job
+    # fails the build on a scaling violation.
+    assert_scaling_non_regression(series, cores)
     assert report["perceptron_emissions"]["speedup"] > 1.0
     # Duplicate-collapse floor: enforced in smoke mode too (the CI
     # smoke job fails the build if collapse stops paying).

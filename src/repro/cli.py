@@ -208,8 +208,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             args.artifact = manifest.database.get("artifact_path") or ""
         if not args.strict and not manifest.config.get("quarantine", True):
             args.strict = True
-        if not args.no_dedup and not manifest.config.get("dedup", True):
-            args.no_dedup = True
     elif args.run_dir:
         run_dir = Path(args.run_dir) / new_run_id()
     if args.path is None:
@@ -261,7 +259,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             max_chunk_retries=args.max_chunk_retries,
             run_dir=run_dir,
             resume=resume,
-            dedup=False if args.no_dedup else None,
         )
         recipe_stream = (
             iter_recipes_jsonl(args.path, on_error="skip")
@@ -358,14 +355,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"in {elapsed:.2f}s ({rate:.0f} lines/s, {mode})"
     )
     if report is not None and report.total_lines:
-        collapse = (
+        print(
             f"duplicate collapse: {report.total_lines} occurrences -> "
             f"{report.distinct_lines} distinct lines "
             f"({report.dedup_ratio:.2f}x)"
         )
-        if not report.dedup:
-            collapse += "  [dedup off: per-occurrence oracle]"
-        print(collapse)
     if reason_tally is not None:
         print("\nreason-code breakdown:")
         print(reason_tally.breakdown().render())
@@ -600,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "chunks, execute only missing ones — "
                                  "output is bit-identical to an "
                                  "uninterrupted run")
-    batch.add_argument("--no-dedup", action="store_true",
-                       help="disable coordinator-side duplicate collapse "
-                            "(engine path): feed every line occurrence "
-                            "through estimation individually — the slow "
-                            "parity oracle; results are bit-identical")
     batch.add_argument("--jsonl", action="store_true",
                        help="stream the corpus (bounded memory) through "
                             "the corpus engine instead of loading it")

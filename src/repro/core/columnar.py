@@ -43,6 +43,7 @@ from repro.core.estimator import (
     group_entities,
 )
 from repro.text.tokenize import tokenize_fast
+from repro.units.fallback import UnitFallback
 from repro.utils import DEFAULT_CACHE_CAP, BoundedCache
 
 
@@ -78,12 +79,12 @@ class ColumnarPipeline:
         )
 
     def estimate_lines(
-        self, texts: list[str], *, consult_fallback: bool = True
+        self, texts: list[str], *, stats: UnitFallback | None = None
     ) -> list[LineOutcome]:
         """Estimate a chunk of lines; one :class:`LineOutcome` each.
 
         Drop-in chunk equivalent of calling ``_estimate_line(text,
-        consult_fallback)`` per line (poison faults included): the
+        stats)`` per line (poison faults included): the
         caller loops the outcomes in order and ``unwrap()``s, getting
         identical estimates and identical exceptions at identical
         positions.
@@ -130,7 +131,7 @@ class ColumnarPipeline:
             try:
                 outcomes[i] = LineOutcome(
                     estimate=estimator._estimate_from_parsed(
-                        item, consult_fallback, quantity_memo=memo
+                        item, stats, quantity_memo=memo
                     )
                 )
             except Exception as exc:

@@ -24,7 +24,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro import faults
 from repro.core.profile import NutritionalProfile
 from repro.core.resolution import (
     REASON_ESTIMATOR_ERROR,
@@ -332,27 +331,27 @@ class NutritionEstimator:
         parsed: ParsedIngredient,
         match: MatchResult,
         quantity: float,
-        consult_fallback: bool = True,
+        stats: UnitFallback | None,
     ) -> ChainResult:
         """Unit resolution with the §II-C strategy chain.
 
         Thin binding of :func:`repro.core.resolution.run_unit_chain`
-        to this estimator's per-food resolvers and fallback table —
-        the chain order, skip rules (an NER-detected unit that fails
-        to resolve skips the phrase-scan and bare-count strategies;
-        see the :mod:`repro.core.resolution` docstring) and reason
-        codes all live there.  With ``consult_fallback=False`` the
-        corpus-level most-frequent-unit table is never consulted —
-        the collect pass of the corpus protocol uses this so each
-        line's outcome depends only on the line itself, never on
-        processing order.
+        to this estimator's per-food resolvers and plausibility
+        threshold — the chain order, skip rules (an NER-detected unit
+        that fails to resolve skips the phrase-scan and bare-count
+        strategies; see the :mod:`repro.core.resolution` docstring)
+        and reason codes all live there.  *stats* is the frozen
+        corpus table the ``corpus-frequent-unit`` strategy reads;
+        ``None`` skips that strategy — the collect pass of the corpus
+        protocol uses this so each line's outcome depends only on the
+        line itself, never on processing order.
         """
         return run_unit_chain(
             parsed,
             self._resolver(match.food.ndb_no),
             quantity,
-            self._fallback,
-            consult_fallback,
+            self._fallback.max_grams,
+            stats,
         )
 
     # ------------------------------------------------------------------
@@ -370,24 +369,24 @@ class NutritionEstimator:
         return self._parse_cache.stats()
 
     def _estimate_line(
-        self, text: str, consult_fallback: bool = True
+        self, text: str, stats: UnitFallback | None = None
     ) -> IngredientEstimate:
         """Estimate one phrase without recording unit observations.
 
-        The pure, order-independent core of the pipeline: given a
-        fixed fallback table, the result depends only on *text*.  The
-        corpus protocol and the sharded engine build on this; the
-        public :meth:`estimate_ingredient` adds the incremental
-        observation side effect.
+        The pure, order-independent core of the pipeline: the result
+        depends only on *text* and the frozen corpus statistics
+        *stats* (``None``: no corpus-frequent-unit strategy).  The
+        corpus protocol runs the same core chunk-at-a-time through
+        :mod:`repro.core.columnar`; the public
+        :meth:`estimate_ingredient` adds the incremental observation
+        side effect.
         """
-        return self._estimate_from_parsed(
-            self._parse_cached(text), consult_fallback
-        )
+        return self._estimate_from_parsed(self._parse_cached(text), stats)
 
     def _estimate_from_parsed(
         self,
         parsed: ParsedIngredient,
-        consult_fallback: bool = True,
+        stats: UnitFallback | None = None,
         *,
         quantity_memo: dict[str, float | None] | None = None,
     ) -> IngredientEstimate:
@@ -430,7 +429,7 @@ class NutritionEstimator:
         if quantity is None:
             quantity = 1.0  # "salt to taste" and missing quantities
 
-        outcome = self._resolve_unit(parsed, match, quantity, consult_fallback)
+        outcome = self._resolve_unit(parsed, match, quantity, stats)
         if outcome.resolution is None:
             return IngredientEstimate(
                 parsed=parsed,
@@ -456,8 +455,13 @@ class NutritionEstimator:
         )
 
     def estimate_ingredient(self, text: str) -> IngredientEstimate:
-        """Full pipeline for one phrase."""
-        estimate = self._estimate_line(text)
+        """Full pipeline for one phrase, against the incremental table.
+
+        Reads the observations recorded so far by earlier calls and
+        records this line's resolved unit afterwards — the single-pass
+        behaviour of :meth:`estimate_recipes`.
+        """
+        estimate = self._estimate_line(text, self._fallback)
         if estimate.status == STATUS_FULL:
             self._fallback.observe(
                 estimate.parsed.name, estimate.resolution.unit
@@ -530,16 +534,16 @@ class NutritionEstimator:
         *,
         quarantine: DeadLetterLog | None = None,
         ordinal_base: int = 0,
-        columnar: bool = False,
     ) -> tuple[dict[str, IngredientEstimate], dict[str, dict[str, int]]]:
         """Corpus pass 1 over distinct ingredient lines (shardable).
 
-        Estimates each distinct text *without* consulting the
-        most-frequent-unit table, and tallies (name, unit) observations
-        weighted by how often the line occurs.  Because the fallback
-        table is never consulted, each line's outcome — and therefore
-        the observation table — is independent of processing order and
-        of how the corpus is sharded across workers.
+        Estimates each distinct text with ``stats=None`` — no
+        corpus-frequent-unit strategy — and tallies (name, unit)
+        observations weighted by how often the line occurs.  Because no
+        statistics are read, each line's outcome — and therefore the
+        observation table — is independent of processing order and of
+        how the corpus is sharded across workers.  The chunk runs
+        through the batched pipeline (:mod:`repro.core.columnar`).
 
         With *quarantine*, a line whose estimation raises is diverted
         to a dead-letter record (numbered ``ordinal_base + i`` in the
@@ -549,15 +553,9 @@ class NutritionEstimator:
         Without it (the default), exceptions propagate — strict mode,
         the seed behaviour.
 
-        With ``columnar=True`` the chunk is driven through the batched
-        pipeline (:mod:`repro.core.columnar`): same estimates, same
-        per-line exception surfacing and dead-letter records, chunk-at-
-        a-time execution.
-
         Returns ``(text -> estimate, observation snapshot)``.  The
         snapshot merges across shards via :meth:`UnitFallback.merge`.
         """
-        plan = faults.active_plan()
         observations = UnitFallback(self._fallback.max_grams)
         estimates: dict[str, IngredientEstimate] = {}
         items = (
@@ -565,21 +563,10 @@ class NutritionEstimator:
             if isinstance(texts_with_counts, list)
             else list(texts_with_counts)
         )
-        outcomes = None
-        if columnar:
-            outcomes = self.columnar.estimate_lines(
-                [text for text, _ in items], consult_fallback=False
-            )
-        for i, (text, count) in enumerate(items):
+        outcomes = self.columnar.estimate_lines([text for text, _ in items])
+        for i, ((text, count), outcome) in enumerate(zip(items, outcomes)):
             try:
-                if outcomes is not None:
-                    estimate = outcomes[i].unwrap()
-                else:
-                    if plan is not None:
-                        plan.poison(text)
-                    estimate = self._estimate_line(
-                        text, consult_fallback=False
-                    )
+                estimate = outcome.unwrap()
             except Exception as exc:
                 if quarantine is None:
                     raise
@@ -601,17 +588,16 @@ class NutritionEstimator:
     def corpus_fallback_estimates(
         self,
         texts: Iterable[str],
+        stats: UnitFallback,
         *,
         quarantine: DeadLetterLog | None = None,
         ordinals: dict[str, int] | None = None,
-        columnar: bool = False,
     ) -> dict[str, IngredientEstimate]:
         """Corpus pass 2 for the unit-unresolved lines (shardable).
 
-        Re-estimates against the estimator's *current* fallback table
-        — by protocol, the merged pass-1 statistics of the whole
-        corpus.  The table is only read, never written, so results
-        again do not depend on order or sharding.
+        Re-estimates against *stats* — by protocol, the merged pass-1
+        statistics of the whole corpus.  The table is only read, never
+        written, so results again do not depend on order or sharding.
 
         With *quarantine*, a line that raises here is dead-lettered
         and simply **omitted** from the returned dict, which leaves
@@ -620,24 +606,12 @@ class NutritionEstimator:
         degradation).  *ordinals* maps text to its distinct-line
         ordinal for the dead-letter record.
         """
-        plan = faults.active_plan()
         estimates: dict[str, IngredientEstimate] = {}
         items = texts if isinstance(texts, list) else list(texts)
-        outcomes = None
-        if columnar:
-            outcomes = self.columnar.estimate_lines(
-                items, consult_fallback=True
-            )
-        for i, text in enumerate(items):
+        outcomes = self.columnar.estimate_lines(items, stats=stats)
+        for text, outcome in zip(items, outcomes):
             try:
-                if outcomes is not None:
-                    estimates[text] = outcomes[i].unwrap()
-                else:
-                    if plan is not None:
-                        plan.poison(text)
-                    estimates[text] = self._estimate_line(
-                        text, consult_fallback=True
-                    )
+                estimates[text] = outcome.unwrap()
             except Exception as exc:
                 if quarantine is None:
                     raise
@@ -650,43 +624,42 @@ class NutritionEstimator:
                 )
         return estimates
 
-    def corpus_estimate_table(
+    def corpus_protocol(
         self,
         counts: dict[str, int] | Sequence[tuple[str, int]],
         *,
         quarantine: DeadLetterLog | None = None,
-        columnar: bool = False,
-    ) -> dict[str, IngredientEstimate]:
-        """The full two-phase protocol over a distinct-line table.
+    ) -> tuple[dict[str, IngredientEstimate], dict[str, dict[str, int]]]:
+        """The full two-phase protocol over a line table.
 
-        Collect, install the merged statistics as the estimator's
-        fallback table, re-estimate the name-only lines, and return
-        ``text -> final estimate``.  The single canonical
-        implementation — :meth:`estimate_corpus` assembles recipes
-        from it, and the sharded engine's in-process (``workers=1``)
-        path calls it directly, so the parity-critical sequence lives
-        in exactly one place.  *quarantine* enables poison-line
-        diversion in both passes (see
+        Collect, freeze the observations into one :class:`UnitFallback`,
+        re-estimate the name-only lines against it, and return
+        ``(text -> final estimate, frozen snapshot)``.  The single
+        canonical implementation — :meth:`corpus_estimate_table`,
+        :meth:`estimate_corpus`, the sharded engine's in-process
+        (``workers=1``) path and the service all call it, so the
+        parity-critical sequence lives in exactly one place.  The
+        estimator's own incremental table is neither read nor written.
+        *quarantine* enables poison-line diversion in both passes (see
         :meth:`corpus_collect_estimates`).
 
         *counts* is normally a distinct-line table (``text -> count``)
         but also accepts an explicit ``(text, count)`` sequence with
-        repeated texts — the ``REPRO_DEDUP=0`` oracle feeds one entry
-        per corpus occurrence, which yields the identical table:
-        estimation is deterministic per text, and n unit observations
-        of weight 1 equal one observation of weight n (same counts,
-        same key insertion order, same tie-breaks).
+        repeated texts, which yields the identical table: estimation is
+        deterministic per text, and n unit observations of weight 1
+        equal one observation of weight n (same counts, same key
+        insertion order, same tie-breaks).
         """
         items = (
             list(counts.items())
             if isinstance(counts, dict)
             else list(counts)
         )
-        estimates, observations = self.corpus_collect_estimates(
-            items, quarantine=quarantine, columnar=columnar
+        estimates, snapshot = self.corpus_collect_estimates(
+            items, quarantine=quarantine
         )
-        self._fallback.clear()
-        self._fallback.merge(observations)
+        stats = UnitFallback(self._fallback.max_grams)
+        stats.merge(snapshot)
         pending = [
             text
             for text, estimate in estimates.items()
@@ -700,13 +673,19 @@ class NutritionEstimator:
                     ordinals[text] = i
         estimates.update(
             self.corpus_fallback_estimates(
-                pending,
-                quarantine=quarantine,
-                ordinals=ordinals,
-                columnar=columnar,
+                pending, stats, quarantine=quarantine, ordinals=ordinals
             )
         )
-        return estimates
+        return estimates, snapshot
+
+    def corpus_estimate_table(
+        self,
+        counts: dict[str, int] | Sequence[tuple[str, int]],
+        *,
+        quarantine: DeadLetterLog | None = None,
+    ) -> dict[str, IngredientEstimate]:
+        """``text -> final estimate`` from :meth:`corpus_protocol`."""
+        return self.corpus_protocol(counts, quarantine=quarantine)[0]
 
     def estimate_corpus(
         self, recipes: list[Recipe], passes: int = 2
@@ -720,10 +699,10 @@ class NutritionEstimator:
            without the corpus fallback; lines whose unit resolves
            directly contribute their (name, unit) to the
            most-frequent-unit table, weighted by occurrence count.
-        2. **Freeze & re-estimate** — the estimator's fallback table is
-           replaced by the collected corpus statistics, and only the
-           lines that matched a description but failed unit resolution
-           are re-estimated against it (the paper's garlic -> clove
+        2. **Freeze & re-estimate** — the collected observations are
+           frozen into one statistics table, and only the lines that
+           matched a description but failed unit resolution are
+           re-estimated against it (the paper's garlic -> clove
            example).  Resolved lines cannot be affected by the table,
            so their pass-1 estimates are already final.
 
@@ -735,10 +714,6 @@ class NutritionEstimator:
         processes with bit-identical results.  ``passes=1`` keeps the
         single-pass incremental behaviour of
         :meth:`estimate_recipes`.
-
-        Note the estimator's fallback table is recomputed from the
-        given corpus (previous incremental observations are cleared)
-        and left in place afterwards.
         """
         if passes < 1:
             raise ValueError(f"passes must be >= 1: {passes}")

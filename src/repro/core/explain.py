@@ -210,8 +210,8 @@ def explain_line(
         parsed,
         estimator.resolver_for(match.food.ndb_no),
         quantity,
+        statistics.max_grams,
         statistics,
-        consult_fallback=True,
         recorder=recorder,
     )
     if outcome.resolution is None:

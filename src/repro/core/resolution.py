@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from repro.units.fallback import UnitFallback, scan_for_unit
+from repro.units.fallback import UnitFallback, plausible, scan_for_unit
 from repro.units.gram_weights import UnitResolution, UnitResolver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core.estimator)
@@ -335,8 +335,8 @@ def _run_chain_fast(
     parsed: "ParsedIngredient",
     resolver: UnitResolver,
     quantity: float,
-    fallback: UnitFallback,
-    consult_fallback: bool,
+    max_grams: float,
+    stats: UnitFallback | None,
 ) -> ChainResult:
     """The recorder-free chain, fused into straight-line code.
 
@@ -390,8 +390,8 @@ def _run_chain_fast(
             trace = trace + _T_BARE_NO_PORTION
 
     # 5. plausibility gate + rescue.
-    if resolution is not None and not fallback.plausible(
-        quantity, resolution.grams_per_unit
+    if resolution is not None and not plausible(
+        quantity, resolution.grams_per_unit, max_grams
     ):
         event = _T_IMPLAUSIBLE[reason]
         trace = event if not trace else trace + event
@@ -400,8 +400,8 @@ def _run_chain_fast(
             scan_done = True
         rescued = resolver.resolve(scanned) if scanned else None
         reason = REASON_PLAUSIBILITY_RESCUE
-        if rescued is not None and fallback.plausible(
-            quantity, rescued.grams_per_unit
+        if rescued is not None and plausible(
+            quantity, rescued.grams_per_unit, max_grams
         ):
             resolution = rescued
         else:
@@ -413,17 +413,17 @@ def _run_chain_fast(
         return ChainResult(
             resolution, reason, event if not trace else trace + event, False
         )
-    if not consult_fallback:
+    if stats is None:
         return ChainResult(None, reason, trace, False)
 
     # 6. corpus-frequent-unit.
-    frequent = fallback.most_frequent_unit(parsed.name)
+    frequent = stats.most_frequent_unit(parsed.name)
     if frequent is None:
         trace = trace + _T_CORPUS_NEVER
         return ChainResult(None, REASON_CORPUS_UNIT, trace, False)
     rescued = resolver.resolve(frequent)
-    if rescued is not None and fallback.plausible(
-        quantity, rescued.grams_per_unit
+    if rescued is not None and plausible(
+        quantity, rescued.grams_per_unit, max_grams
     ):
         trace = trace + _T_CORPUS_RESOLVED
         return ChainResult(rescued, REASON_CORPUS_UNIT, trace, True)
@@ -437,20 +437,21 @@ def run_unit_chain(
     parsed: "ParsedIngredient",
     resolver: UnitResolver,
     quantity: float,
-    fallback: UnitFallback,
-    consult_fallback: bool = True,
+    max_grams: float,
+    stats: UnitFallback | None = None,
     recorder: ChainRecorder | None = None,
 ) -> ChainResult:
     """Run the full §II-C strategy chain for one parsed line.
 
     Pure given its arguments: the outcome depends only on *parsed*,
-    the resolver's food, *quantity* and the state of *fallback* — the
-    order-independence the two-phase corpus protocol builds on.  With
-    ``consult_fallback=False`` the ``corpus-frequent-unit`` strategy
-    never runs (the collect pass uses this so each line's outcome is
-    independent of corpus order).  *recorder*, when given, receives a
-    verbose event for every stage, including skipped ones; it never
-    changes the result.
+    the resolver's food, *quantity*, the plausibility threshold
+    *max_grams* (grams per line) and the frozen corpus statistics
+    *stats* — the order-independence the two-phase corpus protocol
+    builds on.  With ``stats=None`` the ``corpus-frequent-unit``
+    strategy never runs (the collect pass uses this so each line's
+    outcome is independent of corpus order).  The chain only reads
+    *stats*.  *recorder*, when given, receives a verbose event for
+    every stage, including skipped ones; it never changes the result.
 
     Without a recorder the call takes :func:`_run_chain_fast`, the
     allocation-light fused form of the identical chain (equivalence is
@@ -458,9 +459,7 @@ def run_unit_chain(
     :data:`CANDIDATE_CHAIN` strategy by strategy.
     """
     if recorder is None:
-        return _run_chain_fast(
-            parsed, resolver, quantity, fallback, consult_fallback
-        )
+        return _run_chain_fast(parsed, resolver, quantity, max_grams, stats)
     # From here on a recorder is always attached — the recorder-free
     # case took the fast path above.
     ctx = ResolutionContext(parsed, resolver, quantity)
@@ -492,8 +491,8 @@ def run_unit_chain(
         recorder.record(strategy.reason, outcome, detail)
 
     # Plausibility gate + rescue over whichever candidate won above.
-    if resolution is not None and not fallback.plausible(
-        quantity, resolution.grams_per_unit
+    if resolution is not None and not plausible(
+        quantity, resolution.grams_per_unit, max_grams
     ):
         event = _event1(reason, OUTCOME_IMPLAUSIBLE)
         trace = event if not trace else trace + event
@@ -501,12 +500,12 @@ def run_unit_chain(
             reason,
             OUTCOME_IMPLAUSIBLE,
             f"{quantity:g} x {resolution.grams_per_unit:g} g/unit "
-            f"exceeds the {fallback.max_grams:g} g threshold",
+            f"exceeds the {max_grams:g} g threshold",
             resolution,
         )
         rescued = ctx.resolver.resolve(ctx.scan()) if ctx.scan() else None
-        if rescued is not None and fallback.plausible(
-            quantity, rescued.grams_per_unit
+        if rescued is not None and plausible(
+            quantity, rescued.grams_per_unit, max_grams
         ):
             resolution = rescued
             reason = REASON_PLAUSIBILITY_RESCUE
@@ -528,7 +527,7 @@ def run_unit_chain(
         recorder.record(reason, OUTCOME_RESOLVED, "unit resolved", resolution)
         return ChainResult(resolution, reason, trace, False)
 
-    if not consult_fallback:
+    if stats is None:
         recorder.record(
             REASON_CORPUS_UNIT,
             OUTCOME_SKIPPED,
@@ -538,7 +537,7 @@ def run_unit_chain(
 
     # Last resort: the corpus-level most-frequent-unit statistic.
     reason = REASON_CORPUS_UNIT
-    frequent = fallback.most_frequent_unit(parsed.name)
+    frequent = stats.most_frequent_unit(parsed.name)
     if frequent is None:
         trace = trace + _T_CORPUS_NEVER
         recorder.record(
@@ -548,8 +547,8 @@ def run_unit_chain(
         )
         return ChainResult(None, reason, trace, False)
     rescued = resolver.resolve(frequent)
-    if rescued is not None and fallback.plausible(
-        quantity, rescued.grams_per_unit
+    if rescued is not None and plausible(
+        quantity, rescued.grams_per_unit, max_grams
     ):
         trace = trace + _T_CORPUS_RESOLVED
         recorder.record(
@@ -567,7 +566,7 @@ def run_unit_chain(
         detail = (
             f"frequent unit {frequent!r} resolves but "
             f"{quantity:g} x {rescued.grams_per_unit:g} g/unit exceeds "
-            f"the {fallback.max_grams:g} g threshold"
+            f"the {max_grams:g} g threshold"
         )
     trace = trace + _event1(REASON_CORPUS_UNIT, outcome)
     recorder.record(REASON_CORPUS_UNIT, outcome, detail, rescued)

@@ -56,11 +56,9 @@ each worker holds at most one chunk at a time.
 **Columnar hot path** (ISSUE 9): workers (and the ``workers=1``
 in-process path) drive each chunk through the batched pipeline
 (:mod:`repro.core.columnar`) — chunk-wide tokenize/tag/match stages
-feeding the unmodified per-line tail — which is bit-identical to the
-per-line reference by construction and pinned differentially by
-``tests/test_columnar_parity.py``.  ``REPRO_COLUMNAR=0`` forces the
-per-line path everywhere (the escape hatch the differential harness
-and benchmarks flip).
+feeding the unmodified per-line tail — which is bit-identical to a
+per-line ``_estimate_line`` loop by construction and pinned
+differentially by ``tests/test_columnar_parity.py``.
 
 **Duplicate collapse** (ISSUE 10): the coordinator hash-conses the
 corpus's ingredient lines into the distinct-line table *before*
@@ -73,16 +71,14 @@ identical counts *and* identical key insertion order — hence the same
 ``most_common`` tie-breaks — as n repeated observes, and phase-3
 estimates are pure functions of (text, frozen table), so per-distinct
 results expand to per-occurrence results losslessly on the assembly
-pass.  ``REPRO_DEDUP=0`` (or ``dedup=False`` / the CLI's
-``--no-dedup``) pins the per-occurrence oracle: the line table keeps
-one ``(text, 1)`` entry per occurrence in corpus order, and the
-differential suites byte-compare the two modes end to end
-(``tests/test_dedup_parity.py``).  Estimate-side dead letters are
-re-numbered by the coordinator from line-table ordinals to
-per-occurrence corpus positions with the same procedure in both
-modes, so a poisoned line that occurs k times dead-letters k times
-with correct positions — and the persisted report is byte-identical
-across modes and across resume.
+pass.  ``tests/test_dedup_parity.py`` byte-compares the engine end to
+end against a per-occurrence reference that feeds every occurrence
+through :meth:`NutritionEstimator.corpus_estimate_table` as its own
+``(text, 1)`` item.  Estimate-side dead letters are re-numbered by
+the coordinator from line-table ordinals to per-occurrence corpus
+positions, so a poisoned line that occurs k times dead-letters k
+times with correct positions — and the persisted report is
+byte-identical to the reference's and across resume.
 
 **Persistent pool** (ISSUE 9): the supervised pool outlives a single
 run.  The first pool run spawns it (workers boot from a shared-memory
@@ -141,29 +137,6 @@ DEFAULT_CHUNK_DEADLINE_S = 120.0
 DEFAULT_MAX_CHUNK_RETRIES = 2
 
 
-def _columnar_enabled() -> bool:
-    """Whether chunks run the columnar batch pipeline (default: yes).
-
-    ``REPRO_COLUMNAR=0`` pins the per-line reference path — the
-    differential harness and benchmarks use it to hold the oracle
-    side still while the columnar side evolves.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
-
-
-def _dedup_enabled() -> bool:
-    """Whether corpus lines are collapsed to the distinct set (default:
-    yes).
-
-    ``REPRO_DEDUP=0`` pins the per-occurrence oracle — every
-    ingredient-line occurrence is shipped, estimated and observed
-    independently, exactly as if no interning layer existed.  The
-    differential suites and the dedup benchmarks flip this to hold the
-    reference side still.
-    """
-    return os.environ.get("REPRO_DEDUP", "1") != "0"
-
-
 @dataclass
 class RunReport:
     """What happened, beyond the estimates, during one corpus run."""
@@ -186,9 +159,7 @@ class RunReport:
     #: Line-interning accounting (ISSUE 10).  ``total_lines`` counts
     #: ingredient-line occurrences across the corpus; ``distinct_lines``
     #: counts the entries that actually did pipeline work after
-    #: duplicate collapse.  ``dedup=False`` marks the per-occurrence
-    #: oracle run (``REPRO_DEDUP=0`` / ``--no-dedup``).
-    dedup: bool = True
+    #: duplicate collapse.
     total_lines: int = 0
     distinct_lines: int = 0
     #: Content digest of the frozen phase-boundary unit table — the
@@ -202,15 +173,6 @@ class RunReport:
         if not self.distinct_lines:
             return 1.0
         return self.total_lines / self.distinct_lines
-
-    def dedup_counters(self) -> dict:
-        """Duplicate-collapse accounting (CLI summary + /metrics)."""
-        return {
-            "dedup": self.dedup,
-            "total_lines": self.total_lines,
-            "distinct_lines": self.distinct_lines,
-            "dedup_ratio": round(self.dedup_ratio, 3),
-        }
 
     def counters(self) -> dict:
         """Flat counter view (the service merges this into /metrics)."""
@@ -238,16 +200,16 @@ class RunReport:
 def _collect_task(state: WorkerState, payload, task_id: int, attempt: int):
     """Phase-1 task: wire estimates + observation snapshot for a chunk.
 
-    ``payload`` is ``(base_ordinal, chunk, quarantine_on, columnar)``.
+    ``payload`` is ``(base_ordinal, chunk, quarantine_on)``.
     Returns ``(wire, snapshot, dead_letter_records)``.
     """
-    base_ordinal, chunk, quarantine_on, columnar = payload
+    base_ordinal, chunk, quarantine_on = payload
     plan = faults.active_plan()
     if plan is not None:
         plan.fire("collect-chunk", task_id, attempt)
     log = DeadLetterLog() if quarantine_on else None
     estimates, snapshot = state.estimator.corpus_collect_estimates(
-        chunk, quarantine=log, ordinal_base=base_ordinal, columnar=columnar
+        chunk, quarantine=log, ordinal_base=base_ordinal
     )
     wire = dumps_estimates(
         [estimates[text] for text, _ in chunk], state.estimator.database
@@ -258,34 +220,35 @@ def _collect_task(state: WorkerState, payload, task_id: int, attempt: int):
 def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
     """Phase-3 task: re-estimate texts against the merged statistics.
 
-    ``payload`` is ``(stats_token, snapshot, items, quarantine_on,
-    columnar)`` with ``items`` a list of ``(ordinal, text)``.  The
-    merged snapshot rides along with each task and a worker installs
-    it once per *token* — a fresh serial per engine run — which makes
-    two failure shapes correct at once: a worker respawned
-    mid-phase-3 (``stats_token`` reset to 0) installs the snapshot
-    from its next task, and a **persistent pool reused across runs**
-    sees a new token and can never serve the previous run's table.
-    Returns ``(present_indices, wire, dead_letter_records)`` where
+    ``payload`` is ``(stats_token, snapshot, items, quarantine_on)``
+    with ``items`` a list of ``(ordinal, text)``.  The merged snapshot
+    rides along with each task and a worker freezes it into a
+    statistics table once per *token* — a fresh serial per engine run
+    — kept on its :class:`WorkerState`.  That makes two failure shapes
+    correct at once: a worker respawned mid-phase-3 (``stats_token``
+    reset to 0) rebuilds the table from its next task, and a
+    **persistent pool reused across runs** sees a new token and can
+    never serve the previous run's table.  Returns
+    ``(present_indices, wire, dead_letter_records)`` where
     ``present_indices`` are the positions in *items* that produced an
     estimate (a line quarantined here keeps its phase-1 estimate).
     """
-    stats_token, snapshot, items, quarantine_on, columnar = payload
+    stats_token, snapshot, items, quarantine_on = payload
     plan = faults.active_plan()
     if plan is not None:
         plan.fire("fallback-chunk", task_id, attempt)
     if state.stats_token != stats_token:
-        fallback = state.estimator.fallback
-        fallback.clear()
-        fallback.merge(snapshot)
+        stats = UnitFallback(state.estimator.fallback.max_grams)
+        stats.merge(snapshot)
+        state.stats = stats
         state.stats_token = stats_token
     log = DeadLetterLog() if quarantine_on else None
     texts = [text for _, text in items]
     estimates = state.estimator.corpus_fallback_estimates(
         texts,
+        state.stats,
         quarantine=log,
         ordinals={text: ordinal for ordinal, text in items},
-        columnar=columnar,
     )
     present = [i for i, text in enumerate(texts) if text in estimates]
     wire = dumps_estimates(
@@ -354,12 +317,6 @@ class ShardedCorpusEstimator:
         :class:`~repro.runs.errors.RunMismatchError` on drift),
         truncate any torn journal tail, replay journaled chunks and
         execute only the missing ones.
-    dedup:
-        Collapse corpus lines to the distinct-line table before
-        sharding (the interning layer).  ``None`` — the default —
-        defers to the ``REPRO_DEDUP`` environment variable (on unless
-        ``0``), resolved per run; ``False`` pins the per-occurrence
-        oracle for this engine regardless of environment.
     force_pool:
         Route even ``workers=1`` non-durable runs through the
         supervised pool instead of the in-process shortcut.  The
@@ -387,7 +344,6 @@ class ShardedCorpusEstimator:
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
         run_dir: str | Path | None = None,
         resume: bool = False,
-        dedup: bool | None = None,
         force_pool: bool = False,
         estimator_supplier=None,
     ):
@@ -410,7 +366,6 @@ class ShardedCorpusEstimator:
             self._workers = os.cpu_count() or 1
         self._chunk_size = chunk_size
         self._quarantine = quarantine
-        self._dedup = dedup
         self._chunk_deadline_s = chunk_deadline_s
         self._max_chunk_retries = max_chunk_retries
         self._force_pool = force_pool
@@ -534,16 +489,8 @@ class ShardedCorpusEstimator:
             f"(the engine traverses it twice), got {type(source).__name__}"
         )
 
-    def _dedup_on(self) -> bool:
-        """Resolve the dedup mode for one run (ctor arg, else env)."""
-        if self._dedup is not None:
-            return self._dedup
-        return _dedup_enabled()
-
     def _begin_run(self) -> RunReport:
-        self.last_report = RunReport(
-            workers=self._workers, dedup=self._dedup_on()
-        )
+        self.last_report = RunReport(workers=self._workers)
         return self.last_report
 
     def _line_table(
@@ -551,33 +498,19 @@ class ShardedCorpusEstimator:
     ) -> list[tuple[str, int]]:
         """First corpus traversal → the line table the run estimates.
 
-        Dedup mode hash-conses every ingredient line into a
-        distinct-line table with multiplicities (Counter preserves
-        first-occurrence order; counting runs at C speed), so all
-        downstream work scales with the distinct set.  The oracle mode
-        keeps one ``(text, 1)`` entry per occurrence in corpus order
-        instead — identical statistics (a weighted observe equals n
-        repeated observes, and first-occurrence key order is the same
-        either way) at full per-occurrence cost.
+        Hash-conses every ingredient line into a distinct-line table
+        with multiplicities (Counter preserves first-occurrence order;
+        counting runs at C speed), so all downstream work scales with
+        the distinct set.
         """
-        stream = self._stream(source, report.dead_letters)
-        if report.dedup:
-            counts = Counter(
-                text
-                for recipe in stream
-                for text in recipe.ingredient_texts
-            )
-            report.total_lines = sum(counts.values())
-            report.distinct_lines = len(counts)
-            return list(counts.items())
-        lines = [
-            (text, 1)
-            for recipe in stream
+        counts = Counter(
+            text
+            for recipe in self._stream(source, report.dead_letters)
             for text in recipe.ingredient_texts
-        ]
-        report.total_lines = len(lines)
-        report.distinct_lines = len({text for text, _ in lines})
-        return lines
+        )
+        report.total_lines = sum(counts.values())
+        report.distinct_lines = len(counts)
+        return list(counts.items())
 
     @staticmethod
     def _pull_poisoned(report: RunReport) -> dict[str, tuple[str, str]]:
@@ -589,8 +522,7 @@ class ShardedCorpusEstimator:
         numbers) and returns ``truncated input -> (reason, detail)``
         for the assembly pass to expand.  Estimation is deterministic
         per text, so every occurrence of a poisoned line shares one
-        reason/detail; running the identical procedure in both dedup
-        modes makes the final report byte-identical across them.
+        reason/detail.
         """
         poisoned: dict[str, tuple[str, str]] = {}
         kept = []
@@ -615,9 +547,7 @@ class ShardedCorpusEstimator:
 
         return database_fingerprint(self._food_list())
 
-    def _durable_run(
-        self, source: CorpusSource, dedup: bool
-    ) -> DurableRun | None:
+    def _durable_run(self, source: CorpusSource) -> DurableRun | None:
         """Create (or reopen and verify) this engine's durable run."""
         if self._run_dir is None:
             return None
@@ -635,7 +565,6 @@ class ShardedCorpusEstimator:
                 quarantine=self._quarantine,
                 max_grams=self._spec.max_grams,
                 database_fingerprint=fingerprint,
-                dedup=dedup,
             )
             return run
         database: dict = {
@@ -664,7 +593,6 @@ class ShardedCorpusEstimator:
                 "quarantine": self._quarantine,
                 "max_grams": self._spec.max_grams,
                 "workers": self._workers,
-                "dedup": dedup,
             },
             database=database,
         )
@@ -693,7 +621,7 @@ class ShardedCorpusEstimator:
         by the distinct-line estimate table.
         """
         report = self._begin_run()
-        run = self._durable_run(source, report.dedup)
+        run = self._durable_run(source)
         self._note_run(report, run)
         try:
             lines = self._line_table(source, report)
@@ -704,7 +632,7 @@ class ShardedCorpusEstimator:
         # Fan-out: per-distinct estimates expand to per-occurrence
         # results in corpus order, and estimate-side dead letters are
         # renumbered to per-occurrence positions in the flattened
-        # ingredient-line stream (same procedure in both dedup modes).
+        # ingredient-line stream.
         poisoned = (
             self._pull_poisoned(report) if report.dead_letters else {}
         )
@@ -735,7 +663,7 @@ class ShardedCorpusEstimator:
         strategy that resolved or killed it.
         """
         report = self._begin_run()
-        run = self._durable_run(source, report.dedup)
+        run = self._durable_run(source)
         self._note_run(report, run)
         try:
             lines = self._line_table(source, report)
@@ -779,23 +707,12 @@ class ShardedCorpusEstimator:
         service's batch endpoint assembles its own recipes from this.
         Dispatches to the in-process estimator at ``workers=1`` and to
         the supervised pool otherwise; results are bit-identical
-        either way.  In oracle mode (``REPRO_DEDUP=0`` /
-        ``dedup=False``) the multiplicities are expanded back into
-        per-occurrence entries so even this pre-collapsed entry point
-        exercises the undeduped pipeline.
+        either way.
         """
         report = self._begin_run()
         report.total_lines = sum(counts.values())
         report.distinct_lines = len(counts)
-        if report.dedup:
-            lines = list(counts.items())
-        else:
-            lines = [
-                (text, 1)
-                for text, count in counts.items()
-                for _ in range(count)
-            ]
-        return self._estimate_table_into(lines, report)
+        return self._estimate_table_into(list(counts.items()), report)
 
     def _estimate_table_into(
         self,
@@ -814,13 +731,10 @@ class ShardedCorpusEstimator:
         self, lines: list[tuple[str, int]], report: RunReport
     ) -> dict[str, IngredientEstimate]:
         log = report.dead_letters if self._quarantine else None
-        estimator = self._local_estimator()
-        estimates = estimator.corpus_estimate_table(
-            lines, quarantine=log, columnar=_columnar_enabled()
+        estimates, snapshot = self._local_estimator().corpus_protocol(
+            lines, quarantine=log
         )
-        report.stats_digest = snapshot_digest(
-            estimator.fallback.snapshot()
-        )
+        report.stats_digest = snapshot_digest(snapshot)
         return estimates
 
     def _worker_spec(self) -> EstimatorSpec:
@@ -860,7 +774,6 @@ class ShardedCorpusEstimator:
         estimates: dict[str, IngredientEstimate] = {}
         chunks = list(_chunked(lines, self._chunk_size))
         quarantine_on = self._quarantine
-        columnar = _columnar_enabled()
         if run is not None:
             run.begin(
                 n_chunks=len(chunks),
@@ -918,7 +831,7 @@ class ShardedCorpusEstimator:
             replay = run.collect if run is not None else {}
             missing = [i for i in range(len(chunks)) if i not in replay]
             payloads = [
-                (i * self._chunk_size, chunks[i], quarantine_on, columnar)
+                (i * self._chunk_size, chunks[i], quarantine_on)
                 for i in missing
             ]
             executed = (
@@ -980,10 +893,7 @@ class ShardedCorpusEstimator:
             self._stats_serial += 1
             stats_token = self._stats_serial
             payloads = [
-                (
-                    stats_token, snapshot, fallback_chunks[i],
-                    quarantine_on, columnar,
-                )
+                (stats_token, snapshot, fallback_chunks[i], quarantine_on)
                 for i in fb_missing
             ]
             executed = (

@@ -89,17 +89,18 @@ class SupervisorStats:
 class WorkerState:
     """Per-process state handed to task handlers."""
 
-    __slots__ = ("estimator", "stats_token")
+    __slots__ = ("estimator", "stats", "stats_token")
 
     def __init__(self, estimator) -> None:
         self.estimator = estimator
-        # Serial of the merged phase-2 unit-statistics snapshot
-        # currently installed on this worker's estimator (0 = none;
-        # see the engine's fallback handler).  Reset on every
-        # (re)spawn — a worker respawned mid-phase-3 re-installs the
-        # snapshot riding on its next task — and compared against the
-        # task's token so a *persistent* pool reused across runs can
-        # never serve a stale merged table.
+        # The frozen phase-2 unit-statistics table phase-3 tasks read,
+        # and the serial of the merged snapshot it was built from
+        # (0 = none; see the engine's fallback handler).  Reset on
+        # every (re)spawn — a worker respawned mid-phase-3 rebuilds
+        # the table from the snapshot riding on its next task — and
+        # compared against the task's token so a *persistent* pool
+        # reused across runs can never serve a stale merged table.
+        self.stats = None
         self.stats_token = 0
 
 

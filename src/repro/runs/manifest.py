@@ -175,7 +175,6 @@ class RunManifest:
         quarantine: bool,
         max_grams: float,
         database_fingerprint: str,
-        dedup: bool = True,
     ) -> None:
         """Refuse a resume whose chunking/config diverges."""
         checks = (
@@ -183,9 +182,10 @@ class RunManifest:
             ("quarantine", self.config.get("quarantine"), quarantine),
             ("max_grams", self.config.get("max_grams"), max_grams),
             # Journaled frames address chunks of the line table, whose
-            # very shape depends on duplicate collapse; manifests from
-            # before the key exist only for dedup runs (the default).
-            ("dedup", self.config.get("dedup", True), dedup),
+            # very shape depends on duplicate collapse.  Runs always
+            # collapse now; a manifest recording ``"dedup": false``
+            # journaled an uncollapsed table and cannot be resumed.
+            ("dedup", self.config.get("dedup", True), True),
             (
                 "database fingerprint",
                 self.database.get("fingerprint"),

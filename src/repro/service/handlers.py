@@ -116,6 +116,20 @@ ENDPOINTS: dict[tuple[str, str], Endpoint] = {
 _KNOWN_PATHS = frozenset(path for _, path in ENDPOINTS)
 
 
+@dataclass(frozen=True, slots=True)
+class Prepared:
+    """A validated cacheable request whose cache miss is counted.
+
+    :func:`dispatch_fast` hands this to the off-loop :func:`dispatch`
+    so the payload is validated, and the response-cache miss counted,
+    once per request.
+    """
+
+    endpoint: Endpoint
+    request: object
+    key: str
+
+
 def _route(method: str, path: str) -> Endpoint:
     endpoint = ENDPOINTS.get((method, path))
     if endpoint is not None:
@@ -130,18 +144,17 @@ def _route(method: str, path: str) -> Endpoint:
 
 def dispatch_fast(
     state: ServiceState, method: str, path: str, payload
-) -> Response | None:
+) -> Response | Prepared:
     """Complete the request inline if it needs no estimation work.
 
     The event-loop server calls this on its loop thread.  Anything
     that finishes in microseconds is answered here — introspection
     endpoints, routing and validation errors, and response-cache hits
-    — with metrics semantics identical to :func:`dispatch`.  A return
-    of ``None`` means real estimation work is required: the caller
-    must run the full :func:`dispatch` off the loop thread (the
-    payload is re-validated there; validation is cheap next to the
-    estimation it fronts), and **nothing** has been observed in the
-    metrics registry yet.
+    — with metrics semantics identical to :func:`dispatch`.  A
+    :class:`Prepared` return means real estimation work is required:
+    the caller must pass it to :func:`dispatch` off the loop thread.
+    Its cache miss is counted, but **nothing** has been observed in
+    the endpoint metrics yet.
     """
     metric_name = path if path in _KNOWN_PATHS else "(unknown)"
     started = time.perf_counter()
@@ -159,7 +172,7 @@ def dispatch_fast(
                 metric_name, time.perf_counter() - started, cache_hit=True
             )
             return Response(200, cached, cache_hit=True)
-        return None
+        return Prepared(endpoint, request, key)
     except ServiceError as exc:
         state.metrics.observe(
             metric_name, time.perf_counter() - started, error=True
@@ -176,33 +189,51 @@ def dispatch_fast(
         return Response(fallback.status, codec.dumps_body(fallback.to_body()))
 
 
-def dispatch(state: ServiceState, method: str, path: str, payload) -> Response:
+def dispatch(
+    state: ServiceState,
+    method: str,
+    path: str,
+    payload,
+    prepared: Prepared | None = None,
+) -> Response:
     """Handle one decoded request end to end.
 
     Never raises: every outcome — success, typed client error, shed,
     deadline, unexpected server fault — returns a :class:`Response`,
     and every outcome is recorded in the metrics registry under its
     endpoint path (unknown paths aggregate under ``(unknown)`` so a
-    scanner cannot grow the registry without bound).
+    scanner cannot grow the registry without bound).  With
+    *prepared* (from :func:`dispatch_fast`) the request is taken as
+    already validated and its cache miss as already counted; the cache
+    is re-checked without counting, and *payload* is ignored.
     """
     metric_name = path if path in _KNOWN_PATHS else "(unknown)"
     started = time.perf_counter()
     try:
-        endpoint = _route(method, path)
-        request = (
-            payload if endpoint.validate is None else endpoint.validate(payload)
-        )
         key: str | None = None
-        if endpoint.cacheable:
-            # The key is built from the *normalized* request, so
-            # byte-different but equivalent payloads share one entry.
-            key = codec.cache_key(path, request)
-            cached = state.cached_response(key)
-            if cached is not None:
-                state.metrics.observe(
-                    metric_name, time.perf_counter() - started, cache_hit=True
-                )
-                return Response(200, cached, cache_hit=True)
+        if prepared is not None:
+            endpoint, request, key = (
+                prepared.endpoint, prepared.request, prepared.key
+            )
+            cached = state.recheck_response(key)
+        else:
+            endpoint = _route(method, path)
+            request = (
+                payload if endpoint.validate is None
+                else endpoint.validate(payload)
+            )
+            cached = None
+            if endpoint.cacheable:
+                # The key is built from the *normalized* request, so
+                # byte-different but equivalent payloads share one
+                # entry.
+                key = codec.cache_key(path, request)
+                cached = state.cached_response(key)
+        if cached is not None:
+            state.metrics.observe(
+                metric_name, time.perf_counter() - started, cache_hit=True
+            )
+            return Response(200, cached, cache_hit=True)
         timeout_s = state.config.request_timeout_s
         deadline = Deadline(timeout_s) if timeout_s is not None else None
         if endpoint.cacheable:

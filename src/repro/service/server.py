@@ -49,7 +49,7 @@ import time
 from collections import deque
 
 from repro.service.errors import InvalidJSONError, ServiceError
-from repro.service.handlers import Response, dispatch, dispatch_fast
+from repro.service.handlers import Prepared, Response, dispatch, dispatch_fast
 from repro.service.httpproto import RequestParser, render_response
 from repro.service.state import ServiceConfig, ServiceState
 
@@ -489,12 +489,12 @@ class NutritionService:
             fast = dispatch_fast(
                 self.state, request.method, request.path, payload
             )
-            if fast is not None:
+            if isinstance(fast, Response):
                 self._send_response(conn, fast)
                 if conn.sock.fileno() < 0 or conn.close_after_write:
                     return
                 continue
-            self._submit(conn, request.method, request.path, payload=payload)
+            self._submit(conn, request.method, request.path, prepared=fast)
             return
         if served == _MAX_REQUESTS_PER_PUMP and not conn.busy:
             # More complete requests may be buffered; yield to other
@@ -510,14 +510,19 @@ class NutritionService:
         method: str,
         path: str,
         *,
-        payload=None,
+        prepared: Prepared | None = None,
         raw_body: bytes | None = None,
     ) -> None:
+        """Run :func:`dispatch` on a pool thread for *raw_body* (decoded
+        there) or for the *prepared* request :func:`dispatch_fast`
+        already validated."""
         conn.busy = True
         state = self.state
 
         def job() -> None:
-            if raw_body is not None:
+            if prepared is not None:
+                response = dispatch(state, method, path, None, prepared)
+            else:
                 try:
                     decoded = json.loads(raw_body)
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -529,8 +534,6 @@ class NutritionService:
                     )
                     return
                 response = dispatch(state, method, path, decoded)
-            else:
-                response = dispatch(state, method, path, payload)
             self._complete(conn, response)
 
         self._pool.submit(job)

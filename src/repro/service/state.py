@@ -17,9 +17,10 @@ pipeline entirely.
 
 Estimation runs under one lock.  The pipeline is pure Python and
 CPU-bound, so the GIL serializes the work anyway; the lock just keeps
-the estimator's internal memo caches and fallback table coherent
-under ``ThreadingHTTPServer``'s thread-per-connection model.  Cache
-hits and ``/healthz``/``/metrics`` never take it.
+the estimator's parse and matcher memo caches coherent across server
+threads.  Each request's unit statistics are a value built and read
+inside that request, never state shared with other requests.  Cache
+hits and ``/healthz``/``/metrics`` never take the lock.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from repro import __version__, faults
 from repro.core.estimator import NutritionEstimator
 from repro.core.explain import explain_line
 from repro.deadletter import DeadLetterLog
-from repro.pipeline.engine import (
-    RunReport,
-    ShardedCorpusEstimator,
-    _columnar_enabled,
-    _dedup_enabled,
-)
+from repro.pipeline.engine import RunReport, ShardedCorpusEstimator
 from repro.pipeline.errors import PipelineError
 from repro.pipeline.spec import EstimatorSpec
 from repro.service import codec
@@ -329,21 +325,24 @@ class ServiceState:
     # response cache
 
     def cached_response(self, key: str) -> bytes | None:
+        """Look *key* up, counting the probe as a hit or a miss."""
         with self._cache_lock:
             return self._response_cache.get(key)
+
+    def recheck_response(self, key: str) -> bytes | None:
+        """Look *key* up again without counting the probe.
+
+        For a request whose miss was already counted: an identical
+        request may have stored the body in the meantime.
+        """
+        with self._cache_lock:
+            return dict.get(self._response_cache, key)
 
     def store_response(self, key: str, body: bytes) -> None:
         if len(body) > MAX_CACHEABLE_BODY_BYTES:
             return
         with self._cache_lock:
             self._response_cache[key] = body
-
-    def cache_info(self) -> dict:
-        with self._cache_lock:
-            return {
-                "size": len(self._response_cache),
-                "cap": self._response_cache.cap,
-            }
 
     # ------------------------------------------------------------------
     # resilience accounting
@@ -401,29 +400,15 @@ class ServiceState:
     def _local_table(
         self, counts: dict[str, int], deadline: Deadline | None
     ) -> tuple[dict, str]:
-        """In-process table plus the run's frozen-stats digest.
-
-        Honors ``REPRO_DEDUP=0`` by feeding the estimator one
-        ``(text, 1)`` item per occurrence instead of the collapsed
-        count table — the oracle the dedup parity tests compare
-        service responses against, byte for byte.
-        """
+        """In-process table plus the digest of the stats it froze."""
         self._checkpoint(deadline, "estimation")
-        items: dict | list = counts
-        if not _dedup_enabled():
-            items = [
-                (text, 1)
-                for text, count in counts.items()
-                for _ in range(count)
-            ]
         quarantine = DeadLetterLog()
         with self._estimator_lock:
-            table = self._estimator.corpus_estimate_table(
-                items, quarantine=quarantine, columnar=_columnar_enabled()
+            table, snapshot = self._estimator.corpus_protocol(
+                counts, quarantine=quarantine
             )
-            digest = snapshot_digest(self._estimator.fallback.snapshot())
         self.note_dead_letters(len(quarantine))
-        return table, digest
+        return table, snapshot_digest(snapshot)
 
     def _estimate_table(
         self, counts: dict[str, int], deadline: Deadline | None = None
@@ -709,7 +694,6 @@ class ServiceState:
 
     def metrics_snapshot(self) -> dict:
         body = self.metrics.snapshot()
-        body["response_cache"] = self.cache_info()
         body["caches"] = self.caches_snapshot()
         body["workers"] = self.config.workers
         # Which process answered: with --procs N each worker serves

@@ -148,8 +148,9 @@ CANONICAL_UNITS: frozenset[str] = frozenset(ALIASES)
 
 #: Sizes are "considered equivalent because of ambiguity between sizes"
 #: (paper §II-C): small, medium and large interchange when resolving
-#: portion gram weights.
-SIZE_UNITS: frozenset[str] = frozenset({"small", "medium", "large", "extra large"})
+#: portion gram weights.  The ladder runs smallest to largest.
+SIZE_LADDER: tuple[str, ...] = ("small", "medium", "large", "extra large")
+SIZE_UNITS: frozenset[str] = frozenset(SIZE_LADDER)
 
 
 def canonicalize_unit(cleaned: str) -> str | None:

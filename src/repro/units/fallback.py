@@ -5,7 +5,7 @@ garbled one:
 
 * :func:`scan_for_unit` — "In certain cases NER did not detect units,
   in that scenario we searched the ingredient phrase for known units".
-* :meth:`UnitFallback.plausible` — "'500 g or 1 cup' which the NER
+* :func:`plausible` — "'500 g or 1 cup' which the NER
   wrongly detected as '500 cups'.  This was dealt ... by putting a
   threshold on the quantity per unit."
 * :meth:`UnitFallback.most_frequent_unit` — "wherever a unit was still
@@ -64,6 +64,11 @@ def scan_for_unit(phrase: str) -> str | None:
     return None
 
 
+def plausible(quantity: float, grams_per_unit: float, max_grams: float) -> bool:
+    """Sanity threshold on total grams for one ingredient line."""
+    return 0 < quantity * grams_per_unit <= max_grams
+
+
 class UnitFallback:
     """Corpus-level unit statistics per ingredient name.
 
@@ -105,10 +110,6 @@ class UnitFallback:
         if not counts:
             return None
         return counts.most_common(1)[0][0]
-
-    def plausible(self, quantity: float, grams_per_unit: float) -> bool:
-        """Sanity threshold on total grams for one ingredient line."""
-        return 0 < quantity * grams_per_unit <= self._max_grams
 
     # ------------------------------------------------------------------
     # mergeable corpus statistics (sharded estimation protocol)

@@ -5,7 +5,8 @@ answers "how many grams is 1 <unit> of this food?" by:
 
 1. exact lookup among the food's SR portions (after normalization),
 2. size equivalence — small/medium/large "were considered equivalent
-   because of ambiguity between sizes",
+   because of ambiguity between sizes"; the nearest size the food has
+   wins, ties going to the smaller one,
 3. direct mass arithmetic (gram/ounce/pound need no portion),
 4. volume derivation — "For butter, the units 'cup' and 'tablespoon'
    are present, but 'teaspoon' is not.  Hence, we can add teaspoon as a
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units.aliases import SIZE_UNITS
+from repro.units.aliases import SIZE_LADDER
 from repro.units.conversions import MASS_GRAMS, VOLUME_ML, is_mass_unit, is_volume_unit
 from repro.units.normalize import normalize_unit
 from repro.usda.schema import FoodItem
@@ -47,6 +48,22 @@ class UnitResolution:
 _NON_COUNTABLE: frozenset[str] = frozenset(VOLUME_ML) | frozenset(MASS_GRAMS) | {
     "package", "can", "jar", "bottle", "packet", "envelope", "container",
     "carton", "box", "bag",
+}
+
+
+#: Size -> the other sizes, nearest first, ties toward the smaller one
+#: ("medium" tries "small" before "large").  A fixed order, so the
+#: answer never depends on set iteration (and hence the hash seed).
+_SIZE_WALKS: dict[str, tuple[str, ...]] = {
+    size: tuple(
+        alt
+        for _, _, alt in sorted(
+            (abs(j - i), j, alt)
+            for j, alt in enumerate(SIZE_LADDER)
+            if j != i
+        )
+    )
+    for i, size in enumerate(SIZE_LADDER)
 }
 
 
@@ -106,11 +123,10 @@ class UnitResolver:
         if grams is not None:
             return UnitResolution(canonical, grams, METHOD_EXACT)
 
-        if canonical in SIZE_UNITS:
-            for alt in SIZE_UNITS:
-                grams = self._portion_grams.get(alt)
-                if grams is not None:
-                    return UnitResolution(canonical, grams, METHOD_SIZE)
+        for alt in _SIZE_WALKS.get(canonical, ()):
+            grams = self._portion_grams.get(alt)
+            if grams is not None:
+                return UnitResolution(canonical, grams, METHOD_SIZE)
 
         if is_mass_unit(canonical):
             return UnitResolution(canonical, MASS_GRAMS[canonical], METHOD_MASS)

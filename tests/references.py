@@ -1,0 +1,135 @@
+"""Slow reference implementations of the two-phase corpus protocol.
+
+Production runs one path: duplicate collapse into a distinct-line
+table, then the columnar chunk pipeline (:mod:`repro.core.columnar`).
+The differential suites compare that path against these references,
+which compute the same tables the obvious way:
+
+* **per occurrence** — every corpus occurrence goes through
+  :meth:`NutritionEstimator.corpus_estimate_table` as its own
+  ``(text, 1)`` item, so nothing is collapsed;
+* **per line** — both passes loop over
+  :meth:`NutritionEstimator._estimate_line`, one line at a time, with
+  the same fault-injection and dead-letter behaviour as the chunked
+  pipeline.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from repro import faults
+from repro.core.estimator import (
+    STATUS_FULL,
+    STATUS_NAME_ONLY,
+    NutritionEstimator,
+    quarantined_estimate,
+)
+from repro.core.resolution import REASON_ESTIMATOR_ERROR
+from repro.units.fallback import UnitFallback
+
+
+def _assemble(table, recipes):
+    return [
+        NutritionEstimator.finish_recipe(
+            [table[text] for text in recipe.ingredient_texts],
+            recipe.servings,
+        )
+        for recipe in recipes
+    ]
+
+
+# ----------------------------------------------------------------------
+# per occurrence
+
+
+def per_occurrence_items(recipes) -> list[tuple[str, int]]:
+    """One ``(text, 1)`` item per ingredient-line occurrence."""
+    return [
+        (text, 1) for recipe in recipes for text in recipe.ingredient_texts
+    ]
+
+
+def per_occurrence_protocol(recipes, *, quarantine=None):
+    """``(table, frozen snapshot)`` with nothing collapsed.
+
+    With *quarantine*, dead-letter ordinals are item positions, which
+    here are the per-occurrence corpus positions.
+    """
+    return NutritionEstimator().corpus_protocol(
+        per_occurrence_items(recipes), quarantine=quarantine
+    )
+
+
+def per_occurrence_corpus(recipes, *, quarantine=None):
+    """Recipe estimates from :func:`per_occurrence_protocol`."""
+    table, _ = per_occurrence_protocol(recipes, quarantine=quarantine)
+    return _assemble(table, recipes)
+
+
+# ----------------------------------------------------------------------
+# per line
+
+
+def _estimate_or_raise(estimator, text, stats=None):
+    plan = faults.active_plan()
+    if plan is not None:
+        plan.poison(text)
+    return estimator._estimate_line(text, stats)
+
+
+def per_line_collect(estimator, items, *, quarantine=None, ordinal_base=0):
+    """Pass 1, one ``_estimate_line`` call per item."""
+    observations = UnitFallback(estimator.fallback.max_grams)
+    estimates = {}
+    for i, (text, count) in enumerate(items):
+        try:
+            estimate = _estimate_or_raise(estimator, text)
+        except Exception as exc:
+            if quarantine is None:
+                raise
+            estimate = quarantined_estimate(text, exc)
+            quarantine.add(
+                "estimate", ordinal_base + i, text,
+                REASON_ESTIMATOR_ERROR, repr(exc),
+            )
+        estimates[text] = estimate
+        if estimate.status == STATUS_FULL:
+            observations.observe(
+                estimate.parsed.name, estimate.resolution.unit, count
+            )
+    return estimates, observations.snapshot()
+
+
+def per_line_table(estimator, counts, *, quarantine=None):
+    """Both passes, one ``_estimate_line`` call per line."""
+    items = list(counts.items()) if isinstance(counts, dict) else list(counts)
+    estimates, snapshot = per_line_collect(
+        estimator, items, quarantine=quarantine
+    )
+    stats = UnitFallback(estimator.fallback.max_grams)
+    stats.merge(snapshot)
+    ordinals: dict[str, int] = {}
+    for i, (text, _) in enumerate(items):
+        ordinals.setdefault(text, i)
+    for text, estimate in list(estimates.items()):
+        if estimate.status != STATUS_NAME_ONLY:
+            continue
+        try:
+            estimates[text] = _estimate_or_raise(estimator, text, stats)
+        except Exception as exc:
+            if quarantine is None:
+                raise
+            quarantine.add(
+                "estimate", ordinals[text], text,
+                REASON_ESTIMATOR_ERROR, repr(exc),
+            )
+    return estimates
+
+
+def per_line_corpus(recipes):
+    """Recipe estimates from :func:`per_line_table` over the corpus."""
+    counts = Counter(
+        text for recipe in recipes for text in recipe.ingredient_texts
+    )
+    return _assemble(per_line_table(NutritionEstimator(), counts), recipes)

@@ -4,9 +4,9 @@ The columnar hot path (:mod:`repro.core.columnar`) re-stages the
 estimation pipeline chunk-at-a-time but promises **bit-identical**
 output to the per-line reference — estimates, reason codes, traces,
 dead letters, and the position of every raised exception.  These
-tests enforce that promise differentially: the per-line path is the
-retained oracle (``columnar=False``; ``REPRO_COLUMNAR=0`` at the
-engine), the columnar path is the candidate, and every comparison is
+tests enforce that promise differentially: the per-line
+``_estimate_line`` loop in ``tests/references.py`` is the oracle,
+the production columnar path is the candidate, and every comparison is
 plain dataclass equality, which covers every provenance field
 (``IngredientEstimate`` compares parsed tokens/tags, match,
 resolution, grams, profile, reason *and* trace).
@@ -32,6 +32,7 @@ from repro.deadletter import DeadLetterLog
 from repro.matching.matcher import MatcherConfig
 from repro.ner.perceptron import AveragedPerceptronTagger
 from repro.recipedb.generator import RecipeGenerator
+from references import per_line_collect, per_line_corpus, per_line_table
 
 #: Hand-picked hostile lines every swept corpus includes.
 EDGE_LINES = [
@@ -104,10 +105,8 @@ class TestMatcherConfigSweep:
     )
     def test_two_phase_table_bit_identical(self, config, counts):
         """Full two-phase protocol, per matcher ablation combo."""
-        reference = _fresh(config).corpus_estimate_table(counts)
-        columnar = _fresh(config).corpus_estimate_table(
-            counts, columnar=True
-        )
+        reference = per_line_table(_fresh(config), counts)
+        columnar = _fresh(config).corpus_estimate_table(counts)
         assert columnar == reference
 
 
@@ -128,11 +127,14 @@ class TestChunkSizes:
             estimates: dict = {}
             snapshots = []
             for i in range(0, len(items), size):
-                part, snapshot = estimator.corpus_collect_estimates(
-                    items[i : i + size],
-                    ordinal_base=i,
-                    columnar=columnar,
-                )
+                if columnar:
+                    part, snapshot = estimator.corpus_collect_estimates(
+                        items[i : i + size], ordinal_base=i
+                    )
+                else:
+                    part, snapshot = per_line_collect(
+                        estimator, items[i : i + size], ordinal_base=i
+                    )
                 estimates.update(part)
                 snapshots.append(snapshot)
             return estimates, snapshots
@@ -152,7 +154,7 @@ class TestChunkSizes:
 
         oracle = _fresh()
         expected = [
-            oracle._estimate_line(text, consult_fallback=False)
+            oracle._estimate_line(text)
             for text in texts
         ]
 
@@ -160,7 +162,7 @@ class TestChunkSizes:
         actual = []
         for i in range(0, len(texts), size):
             outcomes = candidate.columnar.estimate_lines(
-                texts[i : i + size], consult_fallback=False
+                texts[i : i + size]
             )
             actual.extend(outcome.unwrap() for outcome in outcomes)
         assert actual == expected
@@ -169,24 +171,22 @@ class TestChunkSizes:
 class TestTrainedPerceptron:
     def test_two_phase_table_bit_identical(self, perceptron, counts):
         """The predict_batch emission-gather path, against the oracle."""
-        reference = _fresh(tagger=perceptron).corpus_estimate_table(counts)
-        columnar = _fresh(tagger=perceptron).corpus_estimate_table(
-            counts, columnar=True
-        )
+        reference = per_line_table(_fresh(tagger=perceptron), counts)
+        columnar = _fresh(tagger=perceptron).corpus_estimate_table(counts)
         assert columnar == reference
 
     def test_small_chunks_hit_every_length_bucket(self, perceptron, counts):
         texts = list(counts)
         oracle = _fresh(tagger=perceptron)
         expected = [
-            oracle._estimate_line(text, consult_fallback=False)
+            oracle._estimate_line(text)
             for text in texts
         ]
         candidate = _fresh(tagger=perceptron)
         actual = []
         for i in range(0, len(texts), 7):
             outcomes = candidate.columnar.estimate_lines(
-                texts[i : i + 7], consult_fallback=False
+                texts[i : i + 7]
             )
             actual.extend(outcome.unwrap() for outcome in outcomes)
         assert actual == expected
@@ -209,25 +209,19 @@ class TestPoisonLines:
             for text in texts:
                 faults.active_plan().poison(text)
                 per_line.append(
-                    oracle._estimate_line(text, consult_fallback=False)
+                    oracle._estimate_line(text)
                 )
         assert len(per_line) == 1  # milk estimated, poison raised
 
         candidate = _fresh()
-        outcomes = candidate.columnar.estimate_lines(
-            texts, consult_fallback=False
-        )
+        outcomes = candidate.columnar.estimate_lines(texts)
         assert outcomes[0].unwrap() == per_line[0]
         with pytest.raises(RuntimeError) as col_exc:
             outcomes[1].unwrap()
         assert str(col_exc.value) == str(ref_exc.value)
         # Lines after the poison still estimated (per-line isolation).
-        assert outcomes[2].unwrap() == oracle._estimate_line(
-            "2 eggs", consult_fallback=False
-        )
-        assert outcomes[3].unwrap() == oracle._estimate_line(
-            "butter", consult_fallback=False
-        )
+        assert outcomes[2].unwrap() == oracle._estimate_line("2 eggs")
+        assert outcomes[3].unwrap() == oracle._estimate_line("butter")
 
     def test_quarantine_dead_letters_identical(self, monkeypatch, counts):
         """Two-phase + quarantine: tables and dead letters both match."""
@@ -236,12 +230,10 @@ class TestPoisonLines:
         poisoned[self.POISON] = 3
 
         ref_log = DeadLetterLog()
-        reference = _fresh().corpus_estimate_table(
-            poisoned, quarantine=ref_log
-        )
+        reference = per_line_table(_fresh(), poisoned, quarantine=ref_log)
         col_log = DeadLetterLog()
         columnar = _fresh().corpus_estimate_table(
-            poisoned, quarantine=col_log, columnar=True
+            poisoned, quarantine=col_log
         )
         assert columnar == reference
         assert list(col_log.records) == list(ref_log.records)
@@ -251,11 +243,11 @@ class TestPoisonLines:
 class TestEdgeChunks:
     def test_edge_lines_only_chunk(self):
         """A chunk that is nothing but hostile lines."""
-        reference = _fresh().corpus_estimate_table(
-            {text: 1 for text in EDGE_LINES}
+        reference = per_line_table(
+            _fresh(), {text: 1 for text in EDGE_LINES}
         )
         columnar = _fresh().corpus_estimate_table(
-            {text: 1 for text in EDGE_LINES}, columnar=True
+            {text: 1 for text in EDGE_LINES}
         )
         assert columnar == reference
 
@@ -268,24 +260,20 @@ class TestEdgeChunks:
         texts = ["1 cup milk"] * 5 + ["2 eggs", "1 cup milk"]
         oracle = _fresh()
         expected = [
-            oracle._estimate_line(text, consult_fallback=False)
+            oracle._estimate_line(text)
             for text in texts
         ]
-        outcomes = _fresh().columnar.estimate_lines(
-            texts, consult_fallback=False
-        )
+        outcomes = _fresh().columnar.estimate_lines(texts)
         assert [outcome.unwrap() for outcome in outcomes] == expected
 
 
 class TestEngineDifferential:
-    def test_engine_columnar_vs_per_line_oracle(self, monkeypatch):
-        """REPRO_COLUMNAR=0 pins the oracle through the whole engine."""
+    def test_engine_columnar_vs_per_line_oracle(self):
+        """The sharded engine against the per-line reference corpus."""
         from repro.pipeline.engine import ShardedCorpusEstimator
 
         recipes = RecipeGenerator().generate(30)
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        oracle = ShardedCorpusEstimator(workers=1).estimate_corpus(recipes)
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
+        oracle = per_line_corpus(recipes)
         with ShardedCorpusEstimator(workers=2, chunk_size=32) as engine:
             sharded = engine.estimate_corpus(recipes)
         assert sharded == oracle

@@ -9,6 +9,7 @@ from repro.core.estimator import (
     STATUS_UNMATCHED,
 )
 from repro.recipedb.phrases import PIROSZHKI_PHRASES
+from repro.units.fallback import UnitFallback
 
 
 class TestParse:
@@ -229,13 +230,13 @@ class TestBatchEstimation:
         estimates, observations = reference.corpus_collect_estimates(
             counts.items()
         )
-        reference.fallback.clear()
-        reference.fallback.merge(observations)
+        stats = UnitFallback()
+        stats.merge(observations)
         pending = [
             text for text, est in estimates.items()
             if est.status == STATUS_NAME_ONLY
         ]
-        estimates.update(reference.corpus_fallback_estimates(pending))
+        estimates.update(reference.corpus_fallback_estimates(pending, stats))
         expected = [
             reference.finish_recipe(
                 [estimates[t] for t in r.ingredient_texts], r.servings
@@ -243,6 +244,24 @@ class TestBatchEstimation:
             for r in recipes
         ]
         assert result == expected
+
+    def test_corpus_table_leaves_incremental_table_alone(self, generator):
+        """The corpus protocol builds its own frozen statistics: the
+        estimator's incremental table is neither read nor written."""
+        recipes = generator.generate(15)
+        counts: dict[str, int] = {}
+        for recipe in recipes:
+            for text in recipe.ingredient_texts:
+                counts[text] = counts.get(text, 0) + 1
+        estimator = NutritionEstimator()
+        estimator.estimate_recipe(
+            ["2 tablespoons garlic", "3 tbsp butter", "1 cup sugar"]
+        )
+        before = estimator.fallback.snapshot()
+        assert before
+        table = estimator.corpus_estimate_table(counts)
+        assert estimator.fallback.snapshot() == before
+        assert table == NutritionEstimator().corpus_estimate_table(counts)
 
     def test_estimate_corpus_is_order_independent(self, generator):
         """The two-phase protocol's defining property: shuffling the

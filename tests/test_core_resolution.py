@@ -36,7 +36,7 @@ from repro.core.resolution import (
     run_unit_chain,
     trace_event,
 )
-from repro.units.fallback import UnitFallback
+from repro.units.fallback import DEFAULT_MAX_GRAMS, UnitFallback
 
 
 def _parsed(text, name="butter", unit="", quantity="1", size=""):
@@ -76,7 +76,7 @@ class TestChain:
     def test_ner_unit_resolves(self, butter_resolver):
         result = run_unit_chain(
             _parsed("2 cups butter", unit="cups"),
-            butter_resolver, 2.0, UnitFallback(),
+            butter_resolver, 2.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert result.resolution.unit == "cup"
         assert result.reason == REASON_NER_UNIT
@@ -87,7 +87,8 @@ class TestChain:
         # NER produced no unit; the raw phrase carries a literal "cup"
         # (the scan's precision guard requires the exact alias spelling).
         result = run_unit_chain(
-            _parsed("butter , 1 cup"), butter_resolver, 1.0, UnitFallback()
+            _parsed("butter , 1 cup"),
+            butter_resolver, 1.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert result.reason == REASON_PHRASE_SCAN
         assert result.trace == ("phrase-scan:resolved",)
@@ -97,7 +98,8 @@ class TestChain:
         match = estimator.matcher.match("eggs", "")
         resolver = estimator.resolver_for(match.food.ndb_no)
         result = run_unit_chain(
-            _parsed("2 eggs", name="eggs"), resolver, 2.0, UnitFallback()
+            _parsed("2 eggs", name="eggs"),
+            resolver, 2.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert result.reason == REASON_BARE_COUNT
         assert result.trace == (
@@ -110,7 +112,9 @@ class TestChain:
         or the bare count — even when the raw phrase contains a
         scannable unit that would have resolved."""
         parsed = _parsed("1 head butter cup", unit="head")
-        result = run_unit_chain(parsed, butter_resolver, 1.0, UnitFallback())
+        result = run_unit_chain(
+            parsed, butter_resolver, 1.0, DEFAULT_MAX_GRAMS, UnitFallback()
+        )
         assert result.resolution is None
         assert result.trace[0] == f"{REASON_NER_UNIT}:{OUTCOME_UNRESOLVABLE}"
         assert not any(
@@ -126,7 +130,7 @@ class TestChain:
         # so there is no distinct rescue and the line dies at the gate.
         result = run_unit_chain(
             _parsed("500 cups water", name="water", unit="cups", quantity="500"),
-            resolver, 500.0, UnitFallback(),
+            resolver, 500.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert result.resolution is None
         assert result.reason == REASON_CORPUS_UNIT  # last strategy that failed
@@ -139,7 +143,7 @@ class TestChain:
         rescued = run_unit_chain(
             _parsed("500 g water or 1 cup", name="water", unit="cups",
                     quantity="500"),
-            resolver, 500.0, UnitFallback(),
+            resolver, 500.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert rescued.resolution.unit == "gram"
         assert rescued.reason == REASON_PLAUSIBILITY_RESCUE
@@ -149,7 +153,7 @@ class TestChain:
         fallback.observe("butter", "tablespoon", 3)
         result = run_unit_chain(
             _parsed("1 knob butter", unit="knob"),
-            butter_resolver, 1.0, fallback,
+            butter_resolver, 1.0, DEFAULT_MAX_GRAMS, fallback,
         )
         assert result.resolution.unit == "tablespoon"
         assert result.reason == REASON_CORPUS_UNIT
@@ -161,7 +165,7 @@ class TestChain:
         fallback.observe("butter", "tablespoon", 3)
         result = run_unit_chain(
             _parsed("1 knob butter", unit="knob"),
-            butter_resolver, 1.0, fallback, consult_fallback=False,
+            butter_resolver, 1.0, DEFAULT_MAX_GRAMS, None,
         )
         assert result.resolution is None
         assert result.reason == REASON_NER_UNIT
@@ -172,7 +176,7 @@ class TestChain:
     def test_never_observed_ingredient_fails_with_reason(self, butter_resolver):
         result = run_unit_chain(
             _parsed("1 knob butter", unit="knob"),
-            butter_resolver, 1.0, UnitFallback(),
+            butter_resolver, 1.0, DEFAULT_MAX_GRAMS, UnitFallback(),
         )
         assert result.resolution is None
         assert result.reason == REASON_CORPUS_UNIT
@@ -186,7 +190,7 @@ class TestFastPathEquivalence:
     driver must be the same chain: identical ChainResult over a corpus
     plus the handcrafted edge lines, with and without corpus stats."""
 
-    def _assert_same(self, estimator, parsed, fallback, consult):
+    def _assert_same(self, estimator, parsed, stats):
         from repro.core.explain import _StageRecorder
 
         match = estimator.matcher.match(
@@ -203,10 +207,10 @@ class TestFastPathEquivalence:
         if quantity is None:
             quantity = 1.0
         fast = run_unit_chain(
-            parsed, resolver, quantity, fallback, consult
+            parsed, resolver, quantity, DEFAULT_MAX_GRAMS, stats
         )
         recorded = run_unit_chain(
-            parsed, resolver, quantity, fallback, consult,
+            parsed, resolver, quantity, DEFAULT_MAX_GRAMS, stats,
             recorder=_StageRecorder(),
         )
         assert fast.resolution == recorded.resolution
@@ -236,9 +240,8 @@ class TestFastPathEquivalence:
             parsed = estimator.parse(text)
             if not parsed.name:
                 continue
-            for fallback in (empty, stats):
-                for consult in (True, False):
-                    self._assert_same(estimator, parsed, fallback, consult)
+            for table in (None, empty, stats):
+                self._assert_same(estimator, parsed, table)
 
 
 class TestEstimatorProvenance:

@@ -1,12 +1,12 @@
-"""Differential harness: duplicate collapse vs per-occurrence oracle.
+"""Differential harness: duplicate collapse vs per-occurrence reference.
 
-Coordinator-side duplicate collapse (ISSUE 10) hash-conses the
-corpus's ingredient lines into a distinct-line table with
-multiplicities before sharding, estimates each distinct line once,
-and fans the results back out per occurrence.  The promise is
-**bit-identical** output to the retained per-occurrence oracle
-(``REPRO_DEDUP=0`` at the engine, or ``dedup=False`` at the ctor),
-which feeds every occurrence through estimation individually:
+Coordinator-side duplicate collapse hash-conses the corpus's
+ingredient lines into a distinct-line table with multiplicities
+before sharding, estimates each distinct line once, and fans the
+results back out per occurrence.  The promise is
+**bit-identical** output to the per-occurrence reference in
+``tests/references.py``, which feeds every occurrence through
+``corpus_estimate_table`` as its own ``(text, 1)`` item:
 
 * weighted ``observe(name, unit, count=n)`` equals ``n`` independent
   observes — counts *and* first-seen insertion order, so every
@@ -14,13 +14,12 @@ which feeds every occurrence through estimation individually:
   properties below pin this algebraically, across arbitrary shard
   merge orders);
 * dead letters for a poisoned distinct line are re-expanded to one
-  record per occurrence with corpus-order line numbers, identically
-  in both modes;
-* durable runs journal the collapsed table, and a crashed deduped
-  run resumed with ``--resume`` byte-matches a clean undeduped run's
-  report;
-* the service tier's responses are byte-identical with the flag
-  flipped (the fragment cache serves the same bytes either way).
+  record per occurrence with corpus-order line numbers, identical to
+  the reference's per-occurrence records;
+* durable runs journal the collapsed table, and a crashed run resumed
+  with ``--resume`` byte-matches a clean run's report;
+* the service tier's responses are byte-identical to bodies rendered
+  from the reference table.
 
 Every engine comparison is plain dataclass equality over
 ``RecipeEstimate``/``IngredientEstimate``, which covers parsed
@@ -35,7 +34,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import per_occurrence_corpus, per_occurrence_protocol
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
+from repro.deadletter import DeadLetterLog
 from repro.pipeline import ShardedCorpusEstimator
 from repro.recipedb.corpus import save_recipes_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
@@ -56,10 +57,8 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def oracle_estimates(corpus):
-    """The retained per-occurrence oracle, single worker."""
-    return ShardedCorpusEstimator(workers=1, dedup=False).estimate_corpus(
-        list(corpus)
-    )
+    """The per-occurrence reference, single process."""
+    return per_occurrence_corpus(corpus)
 
 
 class TestEngineDifferential:
@@ -69,22 +68,9 @@ class TestEngineDifferential:
         self, corpus, oracle_estimates, workers, chunk_size
     ):
         with ShardedCorpusEstimator(
-            workers=workers, chunk_size=chunk_size, dedup=True
+            workers=workers, chunk_size=chunk_size
         ) as engine:
             assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-
-    @pytest.mark.parametrize("quarantine", [False, True])
-    def test_env_toggle_pins_each_mode(
-        self, monkeypatch, corpus, oracle_estimates, quarantine
-    ):
-        monkeypatch.setenv("REPRO_DEDUP", "0")
-        engine = ShardedCorpusEstimator(workers=1, quarantine=quarantine)
-        assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-        assert not engine.last_report.dedup
-        monkeypatch.setenv("REPRO_DEDUP", "1")
-        engine = ShardedCorpusEstimator(workers=1, quarantine=quarantine)
-        assert engine.estimate_corpus(list(corpus)) == oracle_estimates
-        assert engine.last_report.dedup
 
     def test_report_counts_occurrences_and_distincts(self, corpus):
         engine = ShardedCorpusEstimator(workers=1)
@@ -98,16 +84,13 @@ class TestEngineDifferential:
         assert report.distinct_lines == distinct
         # Doubled corpus: every line occurs at least twice.
         assert report.dedup_ratio >= 2.0
-        counters = report.dedup_counters()
-        assert counters["total_lines"] == total
-        assert counters["distinct_lines"] == distinct
-        assert counters["dedup"] is True
 
     def test_stats_digest_identical_across_modes(self, corpus):
-        digests = set()
-        for dedup, workers in [(True, 1), (True, 2), (False, 1), (False, 2)]:
+        _, snapshot = per_occurrence_protocol(corpus)
+        digests = {snapshot_digest(snapshot)}
+        for workers in (1, 2):
             with ShardedCorpusEstimator(
-                workers=workers, chunk_size=32, dedup=dedup
+                workers=workers, chunk_size=32
             ) as engine:
                 engine.estimate_corpus(list(corpus))
                 digests.add(engine.last_report.stats_digest)
@@ -129,6 +112,16 @@ class TestDeadLetterExpansion:
             (t for t, n in repeated.items() if n >= 2), key=len
         )
 
+    @staticmethod
+    def _run(corpus, dedup: bool):
+        """(estimates, dead letters) from the engine or the reference."""
+        if dedup:
+            engine = ShardedCorpusEstimator(workers=1, quarantine=True)
+            estimates = engine.estimate_corpus(list(corpus))
+            return estimates, engine.last_report.dead_letters.records
+        log = DeadLetterLog()
+        return per_occurrence_corpus(corpus, quarantine=log), log.records
+
     @pytest.mark.parametrize("dedup", [True, False])
     def test_one_letter_per_occurrence_in_corpus_order(
         self, monkeypatch, corpus, poisoned_text, dedup
@@ -136,11 +129,7 @@ class TestDeadLetterExpansion:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
         )
-        engine = ShardedCorpusEstimator(
-            workers=1, quarantine=True, dedup=dedup
-        )
-        estimates = engine.estimate_corpus(list(corpus))
-        letters = engine.last_report.dead_letters.records
+        estimates, letters = self._run(corpus, dedup)
         flat = [t for r in corpus for t in r.ingredient_texts]
         expected_line_nos = [
             i for i, t in enumerate(flat) if t == poisoned_text
@@ -165,14 +154,11 @@ class TestDeadLetterExpansion:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"raise@estimate-line:{poisoned_text}"
         )
-        records = []
-        for dedup in (True, False):
-            engine = ShardedCorpusEstimator(
-                workers=1, quarantine=True, dedup=dedup
-            )
-            engine.estimate_corpus(list(corpus))
-            records.append(engine.last_report.dead_letters.records)
-        assert records[0] == records[1]
+        engine, reference = (
+            self._run(corpus, dedup) for dedup in (True, False)
+        )
+        assert engine[0] == reference[0]
+        assert engine[1] == reference[1]
 
 
 class TestDurableDedup:
@@ -182,52 +168,47 @@ class TestDurableDedup:
         save_recipes_jsonl(list(corpus), path)
         return path
 
-    def test_manifest_records_dedup(self, tmp_path, corpus_path):
-        for dedup in (True, False):
-            run_dir = tmp_path / f"run-{dedup}"
-            with ShardedCorpusEstimator(
-                workers=2, chunk_size=24, run_dir=run_dir, dedup=dedup
-            ) as engine:
-                engine.estimate_corpus(str(corpus_path))
-            assert RunManifest.load(run_dir).config["dedup"] is dedup
-
-    def test_resume_refuses_flipped_dedup(self, tmp_path, corpus_path):
+    def test_manifest_omits_dedup_key(self, tmp_path, corpus_path):
         run_dir = tmp_path / "run"
         with ShardedCorpusEstimator(
-            workers=1, chunk_size=24, run_dir=run_dir, dedup=True
+            workers=2, chunk_size=24, run_dir=run_dir
+        ) as engine:
+            engine.estimate_corpus(str(corpus_path))
+        assert "dedup" not in RunManifest.load(run_dir).config
+
+    def test_resume_refuses_flipped_dedup(self, tmp_path, corpus_path):
+        """A manifest from an uncollapsed run (``"dedup": false``)
+        journaled a differently shaped line table: resume refuses it."""
+        run_dir = tmp_path / "run"
+        with ShardedCorpusEstimator(
+            workers=1, chunk_size=24, run_dir=run_dir
         ) as engine:
             engine.estimate_corpus(str(corpus_path))
         manifest = RunManifest.load(run_dir)
         manifest.status = "running"
+        manifest.config["dedup"] = False
         manifest.save(run_dir)
         with pytest.raises(RunMismatchError, match="dedup"):
             ShardedCorpusEstimator(
-                workers=1,
-                chunk_size=24,
-                run_dir=run_dir,
-                resume=True,
-                dedup=False,
+                workers=1, chunk_size=24, run_dir=run_dir, resume=True
             ).estimate_corpus(str(corpus_path))
 
     def test_crashed_dedup_resume_matches_clean_oracle_run(
         self, tmp_path, corpus_path, oracle_estimates
     ):
-        """Crash a deduped durable run mid-journal, resume it, and
-        byte-compare against a clean undeduped run: estimates equal
-        the oracle and the dead-letter reports are byte-identical."""
+        """Crash a durable run mid-journal, resume it, and compare
+        against the per-occurrence reference and a clean durable run:
+        estimates equal the reference and the dead-letter reports are
+        byte-identical."""
         from repro.deadletter import REPORT_NAME, write_report_jsonl
         from repro.runs import RunJournal
 
         run_dir = tmp_path / "run"
         with ShardedCorpusEstimator(
-            workers=2, chunk_size=24, run_dir=run_dir, dedup=True
+            workers=2, chunk_size=24, run_dir=run_dir
         ) as engine:
             full = engine.estimate_corpus(str(corpus_path))
-            report = engine.last_report
         assert full == oracle_estimates
-        write_report_jsonl(
-            run_dir / REPORT_NAME, report.dead_letters, report.run_id
-        )
         # Cut the journal mid-run (after the plan and two frames) —
         # the on-disk state a SIGKILL leaves — and resume.
         records = RunJournal(run_dir / "journal.bin").scan().records
@@ -245,12 +226,12 @@ class TestDurableDedup:
         assert resumed == oracle_estimates
         assert resumed_report.resumed
 
-        # Byte-compare the resumed deduped report against a clean
-        # undeduped run's report (run ids normalized: they are the
-        # only legitimately differing bytes).
-        clean_dir = tmp_path / "clean-oracle"
+        # Byte-compare the resumed report against a clean run's report
+        # (run ids normalized: they are the only legitimately
+        # differing bytes).
+        clean_dir = tmp_path / "clean"
         with ShardedCorpusEstimator(
-            workers=2, chunk_size=24, run_dir=clean_dir, dedup=False
+            workers=2, chunk_size=24, run_dir=clean_dir
         ) as engine:
             engine.estimate_corpus(str(corpus_path))
             clean_report = engine.last_report
@@ -266,30 +247,44 @@ class TestDurableDedup:
 
 
 class TestServiceByteParity:
-    def test_responses_byte_identical_with_dedup_flipped(
-        self, monkeypatch, corpus
-    ):
+    def test_responses_byte_identical_with_dedup_flipped(self, corpus):
+        """Service bodies (collapsed tables, fragment cache) equal bodies
+        rendered from the per-occurrence reference table."""
         from repro.service import codec
         from repro.service.state import ServiceConfig, ServiceState
 
         state = ServiceState(ServiceConfig(port=0))
+        recipes = corpus[:8]
         request = codec.BatchRequest(
             recipes=tuple(
                 codec.EstimateRequest(
                     ingredients=tuple(r.ingredient_texts),
                     servings=r.servings,
                 )
-                for r in corpus[:8]
+                for r in recipes
             )
         )
-        single = codec.EstimateRequest(
-            ingredients=tuple(corpus[0].ingredient_texts) * 2, servings=2
+        texts = tuple(corpus[0].ingredient_texts) * 2
+        single = codec.EstimateRequest(ingredients=texts, servings=2)
+
+        def render(table, texts, servings):
+            estimate = state.estimator.finish_recipe(
+                [table[t] for t in texts], servings
+            )
+            return codec.assemble_recipe_estimate_bytes(
+                estimate,
+                [codec.dumps_ingredient_fragment(table[t]) for t in texts],
+            )
+
+        batch_table, _ = per_occurrence_protocol(recipes)
+        single_table = state.estimator.corpus_estimate_table(
+            [(text, 1) for text in texts]
         )
-        monkeypatch.setenv("REPRO_DEDUP", "1")
-        deduped = (state.estimate_batch(request), state.estimate(single))
-        monkeypatch.setenv("REPRO_DEDUP", "0")
-        oracle = (state.estimate_batch(request), state.estimate(single))
-        assert deduped == oracle
+        assert state.estimate_batch(request) == codec.assemble_batch_bytes(
+            [render(batch_table, r.ingredients, r.servings)
+             for r in request.recipes]
+        )
+        assert state.estimate(single) == render(single_table, texts, 2)
 
 
 class TestWeightedObserveProperties:

@@ -152,9 +152,8 @@ class TestMetricsCachesSection:
             assert set(stats) == {
                 "size", "cap", "hits", "misses", "evictions", "hit_rate",
             }
-        # The legacy response_cache block stays for older scrapers.
-        info = state.metrics_snapshot()["response_cache"]
-        assert set(info) == {"size", "cap"}
+        # caches.response is the one place the response cache reports.
+        assert "response_cache" not in state.metrics_snapshot()
 
     def test_fragment_cache_cap_is_configurable(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,45 @@ def call(conn, method: str, path: str, payload=None):
     return response, json.loads(raw)
 
 
+class TestResponseCacheAccounting:
+    def test_each_miss_counted_and_validated_once(self, monkeypatch):
+        """On the event-loop server a miss is probed and validated on
+        the loop thread only; the pool thread reuses that work."""
+        import dataclasses
+
+        from repro.service import handlers
+
+        route = ("POST", "/v1/estimate")
+        endpoint = handlers.ENDPOINTS[route]
+        validated = []
+
+        def counting_validate(payload):
+            validated.append(payload)
+            return endpoint.validate(payload)
+
+        monkeypatch.setitem(
+            handlers.ENDPOINTS, route,
+            dataclasses.replace(endpoint, validate=counting_validate),
+        )
+        payload = {"ingredients": ["2 cups flour", "1 tsp salt"]}
+        with NutritionService(ServiceConfig(port=0)) as svc:
+            connection = http.client.HTTPConnection(
+                svc.host, svc.port, timeout=30
+            )
+            try:
+                miss, _ = call(connection, "POST", "/v1/estimate", payload)
+                hit, _ = call(connection, "POST", "/v1/estimate", payload)
+                _, metrics = call(connection, "GET", "/metrics")
+            finally:
+                connection.close()
+        assert miss.getheader("X-Cache") is None
+        assert hit.getheader("X-Cache") == "hit"
+        response = metrics["caches"]["response"]
+        assert (response["hits"], response["misses"]) == (1, 1)
+        assert response["hit_rate"] == 0.5
+        assert len(validated) == 2  # one per request, never twice
+
+
 class TestIntrospection:
     def test_healthz(self, conn):
         response, body = call(conn, "GET", "/healthz")
@@ -72,7 +111,7 @@ class TestIntrospection:
         response, body = call(conn, "GET", "/metrics")
         assert response.status == 200
         for key in ("uptime_s", "requests_total", "errors_total",
-                    "cache_hits_total", "endpoints", "response_cache"):
+                    "cache_hits_total", "endpoints", "caches"):
             assert key in body
         endpoint = body["endpoints"]["/v1/parse"]
         for key in ("requests", "errors", "cache_hits", "cache_hit_rate",

@@ -163,6 +163,29 @@ class TestStateEndpoints:
         state.match(codec.MatchRequest("garlic", "", "", "", 3))
         assert state.estimate(request) == first
 
+    def test_estimate_body_independent_of_prior_traffic(self, state):
+        """Purity: recipe B's body is the same whether B is a fresh
+        state's first request or follows other estimate and batch
+        traffic whose unit statistics for the same names differ."""
+        recipe_b = codec.EstimateRequest(
+            ingredients=("4 garlic , minced", "2 cloves garlic", "1 butter"),
+            servings=2,
+        )
+        first = ServiceState(ServiceConfig(port=0)).estimate(recipe_b)
+        other = ("2 tablespoons garlic", "1 head garlic", "3 tbsp butter")
+        state.estimate(codec.EstimateRequest(ingredients=other, servings=1))
+        state.estimate_batch(
+            codec.BatchRequest(
+                recipes=(
+                    codec.EstimateRequest(ingredients=other * 3, servings=4),
+                    codec.EstimateRequest(
+                        ingredients=("1 cup butter", "5 garlic"), servings=1
+                    ),
+                )
+            )
+        )
+        assert state.estimate(recipe_b) == first
+
     def test_batch_equals_estimate_corpus(self, state, small_corpus):
         recipes = small_corpus[:6]
         body = json.loads(
@@ -228,7 +251,7 @@ class TestDispatch:
         assert endpoint["requests"] == 2
         assert endpoint["cache_hits"] == 1
         assert endpoint["errors"] == 0
-        assert snapshot["response_cache"]["size"] == 1
+        assert snapshot["caches"]["response"]["size"] == 1
 
     def test_normalized_payloads_share_entry(self, fresh_state):
         dispatch(fresh_state, "POST", "/v1/parse", {"text": "1 tsp salt"})
@@ -269,7 +292,7 @@ class TestDispatch:
     def test_cache_eviction_respects_cap(self, fresh_state):
         for i in range(12):
             dispatch(fresh_state, "POST", "/v1/parse", {"text": f"{i} tsp salt"})
-        info = fresh_state.cache_info()
+        info = fresh_state.caches_snapshot()["response"]
         assert info["size"] <= info["cap"] == 8
 
     def test_every_route_is_covered(self):

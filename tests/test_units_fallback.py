@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.units.fallback import UnitFallback, scan_for_unit
+from repro.units.fallback import UnitFallback, plausible, scan_for_unit
 
 
 class TestScanForUnit:
@@ -59,11 +59,10 @@ class TestUnitFallback:
         assert UnitFallback().most_frequent_unit("x") is None
 
     def test_plausibility_threshold(self):
-        fb = UnitFallback(max_grams=5000.0)
         # "500 cups" of anything fails the threshold.
-        assert not fb.plausible(500.0, 236.0)
-        assert fb.plausible(2.0, 236.0)
-        assert not fb.plausible(0.0, 10.0)
+        assert not plausible(500.0, 236.0, 5000.0)
+        assert plausible(2.0, 236.0, 5000.0)
+        assert not plausible(0.0, 10.0, 5000.0)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):

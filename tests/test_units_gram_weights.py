@@ -1,5 +1,10 @@
 """Tests for per-food unit resolution."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.units.gram_weights import (
@@ -68,6 +73,36 @@ class TestSizesAndCounts:
         resolver = UnitResolver(db.get("11477"))
         small = resolver.resolve("small")
         assert small is not None and small.method == METHOD_SIZE
+
+    def test_nearest_size_wins_ties_go_smaller(self, db):
+        # Zucchini: medium 196 g, large 323 g.  "small" is nearest to
+        # medium; "extra large" is nearest to large.
+        resolver = UnitResolver(db.get("11477"))
+        assert resolver.resolve("small").grams_per_unit == 196.0
+        assert resolver.resolve("extra large").grams_per_unit == 323.0
+
+    def test_estimates_do_not_depend_on_hash_seed(self):
+        """Size equivalence once walked a frozenset, so "3 small
+        zucchini" resolved differently under PYTHONHASHSEED=3."""
+        script = (
+            "from repro import NutritionEstimator, RecipeGenerator\n"
+            "recipes = RecipeGenerator().generate(40)\n"
+            "texts = ['3 small zucchini', '1 extra large onion']\n"
+            "for r in recipes: texts.extend(r.ingredient_texts)\n"
+            "table = NutritionEstimator().corpus_estimate_table("
+            "{t: 1 for t in texts})\n"
+            "for t in texts: print(t, repr(table[t].grams))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in ("0", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert "3 small zucchini 588.0" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_exact_size_preferred(self, db):
         resolver = UnitResolver(db.get("11282"))  # onion
