@@ -1,31 +1,29 @@
-"""Columnar per-chunk estimation: batch the stages, keep the bits.
+"""Columnar per-chunk estimation: batch the parse, keep the bits.
 
 The per-line reference path (:meth:`NutritionEstimator._estimate_line`)
 walks every stage — tokenize, NER tag, entity grouping, description
-match, unit chain — once per line.  This module reorganizes the same
-work *chunk-at-a-time*:
+match, unit chain — once per line.  This module reorganizes the parse
+*chunk-at-a-time*:
 
 1. **Parse stage** — distinct uncached lines are tokenized together
    (ASCII fast path), tagged with the tagger's ``predict_batch`` when
    it has one (the perceptron runs one chunk-wide emission gather, the
    rule tagger memoizes its pure per-token rules), and grouped through
    the same :func:`repro.core.estimator.group_entities`.
-2. **Match stage** — the chunk's distinct ``(name, state, temperature,
-   dry_fresh)`` queries go through
-   :meth:`DescriptionMatcher.match_chunk`: one flattened-postings
-   bincount pass over the whole chunk instead of a dict walk per query.
-3. **Tail stage** — every line then runs the unmodified
-   :meth:`NutritionEstimator._estimate_from_parsed` (quantity parse,
-   unit chain, profile), hitting the caches the batch stages warmed.
+2. **Tail stage** — every line then runs the unmodified
+   :meth:`NutritionEstimator._estimate_from_parsed` (description
+   match, quantity parse, unit chain, profile), hitting the parse
+   cache the batch stage warmed.  Matching stays per line: the
+   matcher's memo is filled in first-occurrence order, as in the
+   per-line loop.
 
-**Parity contract.**  Stages 1-2 only *pre-compute into the same
-memoization caches* (parse cache, matcher cache) in the same
-first-occurrence insertion order the per-line loop would use, and
-stage 3 is literally the per-line code — so estimates, reason codes,
-traces, cache eviction behaviour and per-line exception surfacing are
-bit-identical to the reference.  ``tests/test_columnar_parity.py``
-sweeps this differentially across all matcher configs and chunk
-sizes.
+**Parity contract.**  Stage 1 only *pre-computes into the parse
+cache* in the same first-occurrence insertion order the per-line loop
+would use, and stage 2 is literally the per-line code — so estimates,
+reason codes, traces, cache eviction behaviour and per-line exception
+surfacing are bit-identical to the reference.
+``tests/test_columnar_parity.py`` sweeps this differentially across
+all matcher configs and chunk sizes.
 
 Failures stay per-line: any line whose stage raises (poisoned input,
 fault injection, hostile text) is captured as a :class:`LineOutcome`
@@ -116,10 +114,8 @@ class ColumnarPipeline:
         if pending:
             self._parse_batch(pending, parsed)
 
-        # Stage 2: one columnar matching pass warms the matcher cache.
-        self._warm_matches(texts, outcomes, parsed)
-
-        # Stage 3: the per-line reference tail over warmed caches.
+        # Stage 2: the per-line tail (match, unit chain, profile) over
+        # the warmed parse cache.
         memo = self._quantity_memo
         for i, text in enumerate(texts):
             if outcomes[i] is not None:
@@ -193,42 +189,3 @@ class ColumnarPipeline:
                 continue
             parsed[text] = result
             estimator._parse_cache[text] = result
-
-    def _warm_matches(
-        self,
-        texts: list[str],
-        outcomes: list[LineOutcome | None],
-        parsed: dict[str, ParsedIngredient | LineOutcome],
-    ) -> None:
-        """Run the chunk's distinct named queries through match_chunk.
-
-        Purely a cache warm-up: the stage-3 tail re-asks ``match()``
-        per line and hits the memo.  If the batch pass fails as a
-        whole, it is abandoned and the tail's per-line calls surface
-        any errors at the right lines.
-        """
-        estimator = self._estimator
-        seen: set[tuple[str, str, str, str]] = set()
-        queries: list[tuple[str, str, str, str]] = []
-        for i, text in enumerate(texts):
-            if outcomes[i] is not None:
-                continue
-            item = parsed[text]
-            if isinstance(item, LineOutcome) or not item.name:
-                continue
-            key = (
-                item.name.lower(), item.state.lower(),
-                item.temperature.lower(), item.dry_fresh.lower(),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            queries.append(
-                (item.name, item.state, item.temperature, item.dry_fresh)
-            )
-        if not queries:
-            return
-        try:
-            estimator.matcher.match_chunk(queries)
-        except Exception:
-            pass  # tail falls back to per-line match()

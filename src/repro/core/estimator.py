@@ -29,6 +29,7 @@ from repro.core.resolution import (
     REASON_ESTIMATOR_ERROR,
     REASON_NO_MATCH,
     REASON_NO_NAME,
+    ChainRecorder,
     ChainResult,
     run_unit_chain,
 )
@@ -322,16 +323,14 @@ class NutritionEstimator:
             self._resolvers[ndb_no] = UnitResolver(self._db.get(ndb_no))
         return self._resolvers[ndb_no]
 
-    def resolver_for(self, ndb_no: str) -> UnitResolver:
-        """The memoized per-food unit resolver (explain surface hook)."""
-        return self._resolver(ndb_no)
-
     def _resolve_unit(
         self,
         parsed: ParsedIngredient,
         match: MatchResult,
         quantity: float,
         stats: UnitFallback | None,
+        *,
+        recorder: ChainRecorder | None = None,
     ) -> ChainResult:
         """Unit resolution with the §II-C strategy chain.
 
@@ -344,7 +343,9 @@ class NutritionEstimator:
         corpus table the ``corpus-frequent-unit`` strategy reads;
         ``None`` skips that strategy — the collect pass of the corpus
         protocol uses this so each line's outcome depends only on the
-        line itself, never on processing order.
+        line itself, never on processing order.  *recorder* (the
+        explain surface) observes every stage without changing the
+        result.
         """
         return run_unit_chain(
             parsed,
@@ -352,6 +353,7 @@ class NutritionEstimator:
             quantity,
             self._fallback.max_grams,
             stats,
+            recorder,
         )
 
     # ------------------------------------------------------------------
@@ -389,16 +391,18 @@ class NutritionEstimator:
         stats: UnitFallback | None = None,
         *,
         quantity_memo: dict[str, float | None] | None = None,
+        recorder: ChainRecorder | None = None,
     ) -> IngredientEstimate:
         """Stages 2-4 for an already-parsed phrase.
 
-        The shared tail of :meth:`_estimate_line`, also driven by the
-        columnar chunk pipeline (:mod:`repro.core.columnar`) after its
-        batched parse/match stages — one implementation, so the two
-        paths cannot drift.  *quantity_memo* (columnar only) caches
-        :func:`try_parse_quantity` results per distinct quantity
-        string; the function is pure, so memoization cannot change
-        outcomes.
+        The shared tail of :meth:`_estimate_line`, the columnar chunk
+        pipeline (:mod:`repro.core.columnar`) after its batched parse
+        stage, and :func:`repro.core.explain.explain_line` — one
+        implementation, so the paths cannot drift.  *quantity_memo*
+        (columnar only) caches :func:`try_parse_quantity` results per
+        distinct quantity string; the function is pure, so memoization
+        cannot change outcomes.  *recorder* is handed to the unit
+        chain (see :func:`repro.core.resolution.run_unit_chain`).
         """
         if not parsed.name:
             return IngredientEstimate(
@@ -429,7 +433,9 @@ class NutritionEstimator:
         if quantity is None:
             quantity = 1.0  # "salt to taste" and missing quantities
 
-        outcome = self._resolve_unit(parsed, match, quantity, stats)
+        outcome = self._resolve_unit(
+            parsed, match, quantity, stats, recorder=recorder
+        )
         if outcome.resolution is None:
             return IngredientEstimate(
                 parsed=parsed,

@@ -1,11 +1,13 @@
 """End-to-end explanations of one ingredient line (explain surface).
 
-Drives the same pipeline as estimation — parse, match, the §II-C
-strategy chain — but records a verbose :class:`StageReport` for every
-chain stage (including skipped ones) and reuses
-:func:`repro.matching.explain.explain_match` for the description
-ranking, so ``repro explain`` and ``/v1/explain`` show exactly the
-decisions the estimator made, from NER tags down to the reason code.
+Parses the line, ranks descriptions with
+:func:`repro.matching.explain.explain_match`, then runs the
+estimator's own per-line tail
+(:meth:`NutritionEstimator._estimate_from_parsed`) with a recorder
+attached, which collects a verbose :class:`StageReport` for every
+chain stage (including skipped ones).  So ``repro explain`` and
+``/v1/explain`` show exactly the decisions the estimator made, from
+NER tags down to the reason code.
 
 Determinism: the corpus-frequent-unit strategy consults **only**
 statistics collected from the optional *context* lines (never the
@@ -24,19 +26,10 @@ from dataclasses import dataclass
 
 from repro.core.estimator import (
     STATUS_FULL,
-    STATUS_NAME_ONLY,
-    STATUS_UNMATCHED,
     IngredientEstimate,
     NutritionEstimator,
 )
-from repro.core.profile import NutritionalProfile
-from repro.core.resolution import (
-    REASON_NO_MATCH,
-    REASON_NO_NAME,
-    run_unit_chain,
-)
 from repro.matching.explain import MatchExplanation, explain_match
-from repro.text.quantity import try_parse_quantity
 from repro.units.fallback import UnitFallback
 from repro.units.gram_weights import UnitResolution
 
@@ -159,44 +152,16 @@ def explain_line(
     """
     context = tuple(context)
     parsed = estimator.parse(text)
-    if not parsed.name:
-        return LineExplanation(
-            estimate=IngredientEstimate(
-                parsed=parsed,
-                status=STATUS_UNMATCHED,
-                reason=REASON_NO_NAME,
-                trace=(REASON_NO_NAME,),
-            ),
-            match_explanation=None,
-            stages=(),
-            context_lines=len(context),
+    match_explanation = None
+    if parsed.name:
+        match_explanation = explain_match(
+            estimator.matcher,
+            parsed.name,
+            parsed.state,
+            parsed.temperature,
+            parsed.dry_fresh,
+            k=k,
         )
-
-    match_explanation = explain_match(
-        estimator.matcher,
-        parsed.name,
-        parsed.state,
-        parsed.temperature,
-        parsed.dry_fresh,
-        k=k,
-    )
-    match = match_explanation.winner
-    if match is None:
-        return LineExplanation(
-            estimate=IngredientEstimate(
-                parsed=parsed,
-                status=STATUS_UNMATCHED,
-                reason=REASON_NO_MATCH,
-                trace=(REASON_NO_MATCH,),
-            ),
-            match_explanation=match_explanation,
-            stages=(),
-            context_lines=len(context),
-        )
-
-    quantity = try_parse_quantity(parsed.quantity) if parsed.quantity else None
-    if quantity is None:
-        quantity = 1.0
 
     statistics = UnitFallback(estimator.fallback.max_grams)
     if context:
@@ -206,37 +171,9 @@ def explain_line(
         statistics.merge(snapshot)
 
     recorder = _StageRecorder()
-    outcome = run_unit_chain(
-        parsed,
-        estimator.resolver_for(match.food.ndb_no),
-        quantity,
-        statistics.max_grams,
-        statistics,
-        recorder=recorder,
+    estimate = estimator._estimate_from_parsed(
+        parsed, statistics, recorder=recorder
     )
-    if outcome.resolution is None:
-        estimate = IngredientEstimate(
-            parsed=parsed,
-            status=STATUS_NAME_ONLY,
-            match=match,
-            quantity=quantity,
-            reason=outcome.reason,
-            trace=outcome.trace,
-        )
-    else:
-        grams = quantity * outcome.resolution.grams_per_unit
-        estimate = IngredientEstimate(
-            parsed=parsed,
-            status=STATUS_FULL,
-            match=match,
-            resolution=outcome.resolution,
-            quantity=quantity,
-            grams=grams,
-            profile=NutritionalProfile.from_food(match.food, grams),
-            used_fallback_unit=outcome.used_corpus_unit,
-            reason=outcome.reason,
-            trace=outcome.trace,
-        )
     return LineExplanation(
         estimate=estimate,
         match_explanation=match_explanation,

@@ -5,10 +5,10 @@ mapping, "the main problem lies in matching the units" — is only
 actionable if one can ask *which* §II-C mechanism resolved or killed
 each line.  This module makes the fallback chain explicit: an ordered
 sequence of named strategies, each emitting a machine-readable reason
-code, driven by :func:`run_unit_chain`.
+code, run by the one driver :func:`run_unit_chain`.
 
-Strategies, in the exact order the nested conditionals used to apply
-them (order is behaviour — changing it changes estimates):
+Strategies, in application order (order is behaviour — changing it
+changes estimates):
 
 1. ``ner-unit`` — the NER-detected UNIT entity resolves against the
    matched food's portions.  **If a NER unit is present but fails to
@@ -34,10 +34,10 @@ Every run produces a :class:`ChainResult` carrying the final
 ``reason`` (the strategy that resolved the unit, or the last one that
 failed) and a compact ``trace`` of ``"stage:outcome"`` events for the
 stages that actually ran.  Event strings are interned in a module
-table so the hot path allocates no new strings; the verbose per-stage
-report behind ``repro explain`` / ``/v1/explain`` is produced by the
-same driver through an optional recorder, so the two surfaces cannot
-drift.
+table so the hot path allocates no new strings.  The verbose
+per-stage report behind ``repro explain`` / ``/v1/explain`` comes from
+the same driver through its optional ``recorder`` argument, so the two
+surfaces cannot drift.
 """
 
 from __future__ import annotations
@@ -152,143 +152,6 @@ class ChainRecorder(Protocol):
         ...
 
 
-class ResolutionContext:
-    """Per-line state shared by the chain's strategies.
-
-    Memoizes the raw-phrase unit scan: up to two stages
-    (``phrase-scan`` and ``plausibility-rescue``) need it, and the
-    tokenize-and-normalize walk must run at most once per line.
-    """
-
-    __slots__ = ("parsed", "resolver", "quantity", "_scanned", "_scan_done")
-
-    def __init__(
-        self,
-        parsed: "ParsedIngredient",
-        resolver: UnitResolver,
-        quantity: float,
-    ):
-        self.parsed = parsed
-        self.resolver = resolver
-        self.quantity = quantity
-        self._scanned: str | None = None
-        self._scan_done = False
-
-    def scan(self) -> str | None:
-        if not self._scan_done:
-            self._scanned = scan_for_unit(self.parsed.text)
-            self._scan_done = True
-        return self._scanned
-
-
-class UnitStrategy:
-    """One named candidate-producing step of the §II-C chain."""
-
-    __slots__ = ("reason", "describe")
-
-    def __init__(self, reason: str, describe: str):
-        self.reason = reason
-        self.describe = describe
-
-    def applies(self, ctx: ResolutionContext) -> bool:
-        raise NotImplementedError
-
-    def skip_detail(self, ctx: ResolutionContext) -> str:
-        raise NotImplementedError
-
-    def attempt(self, ctx: ResolutionContext) -> UnitResolution | None:
-        raise NotImplementedError
-
-    def failure(self, ctx: ResolutionContext) -> tuple[str, str]:
-        """(outcome, detail) after :meth:`attempt` returned ``None``."""
-        raise NotImplementedError
-
-
-class _NerUnit(UnitStrategy):
-    def applies(self, ctx):
-        return bool(ctx.parsed.unit)
-
-    def skip_detail(self, ctx):
-        return "NER detected no UNIT entity"
-
-    def attempt(self, ctx):
-        return ctx.resolver.resolve(ctx.parsed.unit)
-
-    def failure(self, ctx):
-        return (
-            OUTCOME_UNRESOLVABLE,
-            f"no gram weight for NER unit {ctx.parsed.unit!r} "
-            f"(phrase-scan and bare-count are skipped: the phrase "
-            f"names an explicit measure)",
-        )
-
-
-class _PhraseScan(UnitStrategy):
-    def applies(self, ctx):
-        return not ctx.parsed.unit
-
-    def skip_detail(self, ctx):
-        return "NER already detected a unit"
-
-    def attempt(self, ctx):
-        scanned = ctx.scan()
-        if scanned is None:
-            return None
-        return ctx.resolver.resolve(scanned)
-
-    def failure(self, ctx):
-        scanned = ctx.scan()
-        if scanned is None:
-            return OUTCOME_NO_UNIT, "no known unit token in the phrase"
-        return (
-            OUTCOME_UNRESOLVABLE,
-            f"scanned unit {scanned!r} has no gram weight for this food",
-        )
-
-
-class _SizeAsUnit(UnitStrategy):
-    def applies(self, ctx):
-        return bool(ctx.parsed.size)
-
-    def skip_detail(self, ctx):
-        return "no SIZE entity in the phrase"
-
-    def attempt(self, ctx):
-        return ctx.resolver.resolve(ctx.parsed.size)
-
-    def failure(self, ctx):
-        return (
-            OUTCOME_UNRESOLVABLE,
-            f"SIZE {ctx.parsed.size!r} has no gram weight for this food",
-        )
-
-
-class _BareCount(UnitStrategy):
-    def applies(self, ctx):
-        return not ctx.parsed.unit
-
-    def skip_detail(self, ctx):
-        return "NER already detected a unit"
-
-    def attempt(self, ctx):
-        return ctx.resolver.resolve(None)
-
-    def failure(self, ctx):
-        return OUTCOME_NO_PORTION, "food has no countable portion"
-
-
-#: The candidate-producing strategies, in application order.  The
-#: ``applies`` predicates encode the skip rules (see the module
-#: docstring); the driver runs each applicable strategy until one
-#: resolves.
-CANDIDATE_CHAIN: tuple[UnitStrategy, ...] = (
-    _NerUnit(REASON_NER_UNIT, "resolve the NER-detected UNIT entity"),
-    _PhraseScan(REASON_PHRASE_SCAN, "scan the raw phrase for a known unit"),
-    _SizeAsUnit(REASON_SIZE_AS_UNIT, "resolve the SIZE entity as a unit"),
-    _BareCount(REASON_BARE_COUNT, "bare count via the first countable portion"),
-)
-
-
 class ChainResult:
     """Outcome of one :func:`run_unit_chain` run."""
 
@@ -307,8 +170,10 @@ class ChainResult:
         self.used_corpus_unit = used_corpus_unit
 
 
-# Precomputed trace atoms for the fused fast path below: one interned
-# tuple per (stage, outcome) the chain can emit.
+
+
+# Precomputed trace atoms: one interned tuple per (stage, outcome) the
+# chain can emit.
 _T_NER_UNRESOLVABLE = _event1(REASON_NER_UNIT, OUTCOME_UNRESOLVABLE)
 _T_SCAN_NO_UNIT = _event1(REASON_PHRASE_SCAN, OUTCOME_NO_UNIT)
 _T_SCAN_UNRESOLVABLE = _event1(REASON_PHRASE_SCAN, OUTCOME_UNRESOLVABLE)
@@ -330,107 +195,14 @@ _T_IMPLAUSIBLE: dict[str, tuple[str, ...]] = {
     for reason in RESOLUTION_REASONS
 }
 
-
-def _run_chain_fast(
-    parsed: "ParsedIngredient",
-    resolver: UnitResolver,
-    quantity: float,
-    max_grams: float,
-    stats: UnitFallback | None,
-) -> ChainResult:
-    """The recorder-free chain, fused into straight-line code.
-
-    Estimation runs this for every ingredient line, so the strategy
-    dispatch of the declarative driver is hand-inlined here: same
-    strategies, same order, same skip rules, emitting the same interned
-    reason/trace atoms — at the cost of the old nested-conditional
-    shape.  The declarative driver below remains the specification
-    (and the explain surface); ``run_unit_chain`` routes to it whenever
-    a recorder is attached, and
-    ``tests/test_core_resolution.py::TestFastPathEquivalence`` asserts
-    the two produce identical :class:`ChainResult`\\ s over a corpus,
-    so they cannot drift apart silently.
-    """
-    unit = parsed.unit or None
-    scanned: str | None = None
-    scan_done = False
-    trace: tuple[str, ...] = ()
-
-    # 1. ner-unit (failure skips phrase-scan and bare-count) /
-    # 2. phrase-scan (only when NER produced no unit).
-    if unit is not None:
-        resolution = resolver.resolve(unit)
-        reason = REASON_NER_UNIT
-        if resolution is None:
-            trace = _T_NER_UNRESOLVABLE
-    else:
-        scanned = scan_for_unit(parsed.text)
-        scan_done = True
-        reason = REASON_PHRASE_SCAN
-        if scanned is None:
-            resolution = None
-            trace = _T_SCAN_NO_UNIT
-        else:
-            resolution = resolver.resolve(scanned)
-            if resolution is None:
-                trace = _T_SCAN_UNRESOLVABLE
-
-    # 3. size-as-unit.
-    if resolution is None and parsed.size:
-        resolution = resolver.resolve(parsed.size)
-        reason = REASON_SIZE_AS_UNIT
-        if resolution is None:
-            trace = trace + _T_SIZE_UNRESOLVABLE
-
-    # 4. bare-count (only when NER produced no unit).
-    if resolution is None and unit is None:
-        resolution = resolver.resolve(None)
-        reason = REASON_BARE_COUNT
-        if resolution is None:
-            trace = trace + _T_BARE_NO_PORTION
-
-    # 5. plausibility gate + rescue.
-    if resolution is not None and not plausible(
-        quantity, resolution.grams_per_unit, max_grams
-    ):
-        event = _T_IMPLAUSIBLE[reason]
-        trace = event if not trace else trace + event
-        if not scan_done:
-            scanned = scan_for_unit(parsed.text)
-            scan_done = True
-        rescued = resolver.resolve(scanned) if scanned else None
-        reason = REASON_PLAUSIBILITY_RESCUE
-        if rescued is not None and plausible(
-            quantity, rescued.grams_per_unit, max_grams
-        ):
-            resolution = rescued
-        else:
-            resolution = None
-            trace = trace + _T_RESCUE_UNRESOLVABLE
-
-    if resolution is not None:
-        event = _T_RESOLVED[reason]
-        return ChainResult(
-            resolution, reason, event if not trace else trace + event, False
-        )
-    if stats is None:
-        return ChainResult(None, reason, trace, False)
-
-    # 6. corpus-frequent-unit.
-    frequent = stats.most_frequent_unit(parsed.name)
-    if frequent is None:
-        trace = trace + _T_CORPUS_NEVER
-        return ChainResult(None, REASON_CORPUS_UNIT, trace, False)
-    rescued = resolver.resolve(frequent)
-    if rescued is not None and plausible(
-        quantity, rescued.grams_per_unit, max_grams
-    ):
-        trace = trace + _T_CORPUS_RESOLVED
-        return ChainResult(rescued, REASON_CORPUS_UNIT, trace, True)
-    trace = trace + (
-        _T_CORPUS_UNRESOLVABLE if rescued is None else _T_CORPUS_IMPLAUSIBLE
-    )
-    return ChainResult(None, REASON_CORPUS_UNIT, trace, False)
+#: The candidate-producing stages, in application order.  Once one
+#: resolves, the recorder gets a skip row for each stage after it.
+_CANDIDATE_STAGES: tuple[str, ...] = (
+    REASON_NER_UNIT,
+    REASON_PHRASE_SCAN,
+    REASON_SIZE_AS_UNIT,
+    REASON_BARE_COUNT,
+)
 
 
 def run_unit_chain(
@@ -450,124 +222,213 @@ def run_unit_chain(
     builds on.  With ``stats=None`` the ``corpus-frequent-unit``
     strategy never runs (the collect pass uses this so each line's
     outcome is independent of corpus order).  The chain only reads
-    *stats*.  *recorder*, when given, receives a verbose event for
-    every stage, including skipped ones; it never changes the result.
+    *stats*.
 
-    Without a recorder the call takes :func:`_run_chain_fast`, the
-    allocation-light fused form of the identical chain (equivalence is
-    test-enforced); with one, the declarative driver below walks
-    :data:`CANDIDATE_CHAIN` strategy by strategy.
+    *recorder*, when given, receives a verbose row for every stage,
+    including skipped ones, in chain order (a stage's ``resolved``
+    row follows the plausibility gate, so it comes after the skip
+    rows of the stages behind it).  Every ``recorder.record`` call is
+    guarded and only observes, so the result is the same with or
+    without one.  The body is straight-line code because estimation
+    runs it for every ingredient line; its trace atoms are the
+    interned tuples above.
     """
-    if recorder is None:
-        return _run_chain_fast(parsed, resolver, quantity, max_grams, stats)
-    # From here on a recorder is always attached — the recorder-free
-    # case took the fast path above.
-    ctx = ResolutionContext(parsed, resolver, quantity)
-    # The trace accumulates by concatenating interned one-event tuples
-    # (identical atoms to the fast path).
+    unit = parsed.unit or None
+    scanned: str | None = None
+    scan_done = False
     trace: tuple[str, ...] = ()
-    resolution: UnitResolution | None = None
-    reason = REASON_NER_UNIT  # overwritten by the first applicable stage
 
-    for position, strategy in enumerate(CANDIDATE_CHAIN):
-        if not strategy.applies(ctx):
-            recorder.record(
-                strategy.reason, OUTCOME_SKIPPED, strategy.skip_detail(ctx)
-            )
-            continue
-        resolution = strategy.attempt(ctx)
-        reason = strategy.reason
-        if resolution is not None:
-            for later in CANDIDATE_CHAIN[position + 1 :]:
+    # 1. ner-unit (failure skips phrase-scan and bare-count) /
+    # 2. phrase-scan (only when NER produced no unit).
+    if unit is not None:
+        resolution = resolver.resolve(unit)
+        reason = REASON_NER_UNIT
+        if resolution is None:
+            trace = _T_NER_UNRESOLVABLE
+            if recorder is not None:
                 recorder.record(
-                    later.reason,
-                    OUTCOME_SKIPPED,
-                    f"{strategy.reason} already produced a candidate",
+                    REASON_NER_UNIT,
+                    OUTCOME_UNRESOLVABLE,
+                    f"no gram weight for NER unit {unit!r} "
+                    f"(phrase-scan and bare-count are skipped: the phrase "
+                    f"names an explicit measure)",
                 )
-            break
-        outcome, detail = strategy.failure(ctx)
-        event = _event1(strategy.reason, outcome)
-        trace = event if not trace else trace + event
-        recorder.record(strategy.reason, outcome, detail)
+                recorder.record(
+                    REASON_PHRASE_SCAN,
+                    OUTCOME_SKIPPED,
+                    "NER already detected a unit",
+                )
+    else:
+        if recorder is not None:
+            recorder.record(
+                REASON_NER_UNIT, OUTCOME_SKIPPED, "NER detected no UNIT entity"
+            )
+        scanned = scan_for_unit(parsed.text)
+        scan_done = True
+        reason = REASON_PHRASE_SCAN
+        if scanned is None:
+            resolution = None
+            trace = _T_SCAN_NO_UNIT
+            if recorder is not None:
+                recorder.record(
+                    REASON_PHRASE_SCAN,
+                    OUTCOME_NO_UNIT,
+                    "no known unit token in the phrase",
+                )
+        else:
+            resolution = resolver.resolve(scanned)
+            if resolution is None:
+                trace = _T_SCAN_UNRESOLVABLE
+                if recorder is not None:
+                    recorder.record(
+                        REASON_PHRASE_SCAN,
+                        OUTCOME_UNRESOLVABLE,
+                        f"scanned unit {scanned!r} has no gram weight for "
+                        f"this food",
+                    )
 
-    # Plausibility gate + rescue over whichever candidate won above.
+    # 3. size-as-unit.
+    if resolution is None:
+        if parsed.size:
+            resolution = resolver.resolve(parsed.size)
+            reason = REASON_SIZE_AS_UNIT
+            if resolution is None:
+                trace = trace + _T_SIZE_UNRESOLVABLE
+                if recorder is not None:
+                    recorder.record(
+                        REASON_SIZE_AS_UNIT,
+                        OUTCOME_UNRESOLVABLE,
+                        f"SIZE {parsed.size!r} has no gram weight for this "
+                        f"food",
+                    )
+        elif recorder is not None:
+            recorder.record(
+                REASON_SIZE_AS_UNIT,
+                OUTCOME_SKIPPED,
+                "no SIZE entity in the phrase",
+            )
+
+    # 4. bare-count (only when NER produced no unit).
+    if resolution is None:
+        if unit is None:
+            resolution = resolver.resolve(None)
+            reason = REASON_BARE_COUNT
+            if resolution is None:
+                trace = trace + _T_BARE_NO_PORTION
+                if recorder is not None:
+                    recorder.record(
+                        REASON_BARE_COUNT,
+                        OUTCOME_NO_PORTION,
+                        "food has no countable portion",
+                    )
+        elif recorder is not None:
+            recorder.record(
+                REASON_BARE_COUNT,
+                OUTCOME_SKIPPED,
+                "NER already detected a unit",
+            )
+    elif recorder is not None:
+        later = _CANDIDATE_STAGES.index(reason) + 1
+        for stage in _CANDIDATE_STAGES[later:]:
+            recorder.record(
+                stage, OUTCOME_SKIPPED, f"{reason} already produced a candidate"
+            )
+
+    # 5. plausibility gate + rescue.
     if resolution is not None and not plausible(
         quantity, resolution.grams_per_unit, max_grams
     ):
-        event = _event1(reason, OUTCOME_IMPLAUSIBLE)
+        event = _T_IMPLAUSIBLE[reason]
         trace = event if not trace else trace + event
-        recorder.record(
-            reason,
-            OUTCOME_IMPLAUSIBLE,
-            f"{quantity:g} x {resolution.grams_per_unit:g} g/unit "
-            f"exceeds the {max_grams:g} g threshold",
-            resolution,
-        )
-        rescued = ctx.resolver.resolve(ctx.scan()) if ctx.scan() else None
+        if recorder is not None:
+            recorder.record(
+                reason,
+                OUTCOME_IMPLAUSIBLE,
+                f"{quantity:g} x {resolution.grams_per_unit:g} g/unit "
+                f"exceeds the {max_grams:g} g threshold",
+                resolution,
+            )
+        if not scan_done:
+            scanned = scan_for_unit(parsed.text)
+            scan_done = True
+        rescued = resolver.resolve(scanned) if scanned else None
+        reason = REASON_PLAUSIBILITY_RESCUE
         if rescued is not None and plausible(
             quantity, rescued.grams_per_unit, max_grams
         ):
             resolution = rescued
-            reason = REASON_PLAUSIBILITY_RESCUE
         else:
             resolution = None
-            reason = REASON_PLAUSIBILITY_RESCUE
-            trace = trace + _event1(
-                REASON_PLAUSIBILITY_RESCUE, OUTCOME_UNRESOLVABLE
-            )
-            recorder.record(
-                REASON_PLAUSIBILITY_RESCUE,
-                OUTCOME_UNRESOLVABLE,
-                "no plausible phrase-scanned unit to rescue with",
-            )
+            trace = trace + _T_RESCUE_UNRESOLVABLE
+            if recorder is not None:
+                recorder.record(
+                    REASON_PLAUSIBILITY_RESCUE,
+                    OUTCOME_UNRESOLVABLE,
+                    "no plausible phrase-scanned unit to rescue with",
+                )
 
     if resolution is not None:
-        event = _event1(reason, OUTCOME_RESOLVED)
-        trace = event if not trace else trace + event
-        recorder.record(reason, OUTCOME_RESOLVED, "unit resolved", resolution)
-        return ChainResult(resolution, reason, trace, False)
-
+        event = _T_RESOLVED[reason]
+        if recorder is not None:
+            recorder.record(
+                reason, OUTCOME_RESOLVED, "unit resolved", resolution
+            )
+        return ChainResult(
+            resolution, reason, event if not trace else trace + event, False
+        )
     if stats is None:
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_SKIPPED,
-            "corpus statistics not consulted (collect pass)",
-        )
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_SKIPPED,
+                "corpus statistics not consulted (collect pass)",
+            )
         return ChainResult(None, reason, trace, False)
 
-    # Last resort: the corpus-level most-frequent-unit statistic.
-    reason = REASON_CORPUS_UNIT
-    frequent = stats.most_frequent_unit(parsed.name)
+    # 6. corpus-frequent-unit.
+    name = parsed.name
+    frequent = stats.most_frequent_unit(name)
     if frequent is None:
-        trace = trace + _T_CORPUS_NEVER
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_NEVER_OBSERVED,
-            f"no unit ever observed for {parsed.name!r}",
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_NEVER_OBSERVED,
+                f"no unit ever observed for {name!r}",
+            )
+        return ChainResult(
+            None, REASON_CORPUS_UNIT, trace + _T_CORPUS_NEVER, False
         )
-        return ChainResult(None, reason, trace, False)
     rescued = resolver.resolve(frequent)
     if rescued is not None and plausible(
         quantity, rescued.grams_per_unit, max_grams
     ):
-        trace = trace + _T_CORPUS_RESOLVED
-        recorder.record(
-            REASON_CORPUS_UNIT,
-            OUTCOME_RESOLVED,
-            f"most frequent unit for {parsed.name!r} is {frequent!r}",
-            rescued,
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_RESOLVED,
+                f"most frequent unit for {name!r} is {frequent!r}",
+                rescued,
+            )
+        return ChainResult(
+            rescued, REASON_CORPUS_UNIT, trace + _T_CORPUS_RESOLVED, True
         )
-        return ChainResult(rescued, reason, trace, True)
     if rescued is None:
-        outcome = OUTCOME_UNRESOLVABLE
-        detail = f"frequent unit {frequent!r} has no gram weight for this food"
+        trace = trace + _T_CORPUS_UNRESOLVABLE
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_UNRESOLVABLE,
+                f"frequent unit {frequent!r} has no gram weight for this food",
+            )
     else:
-        outcome = OUTCOME_IMPLAUSIBLE
-        detail = (
-            f"frequent unit {frequent!r} resolves but "
-            f"{quantity:g} x {rescued.grams_per_unit:g} g/unit exceeds "
-            f"the {max_grams:g} g threshold"
-        )
-    trace = trace + _event1(REASON_CORPUS_UNIT, outcome)
-    recorder.record(REASON_CORPUS_UNIT, outcome, detail, rescued)
-    return ChainResult(None, reason, trace, False)
+        trace = trace + _T_CORPUS_IMPLAUSIBLE
+        if recorder is not None:
+            recorder.record(
+                REASON_CORPUS_UNIT,
+                OUTCOME_IMPLAUSIBLE,
+                f"frequent unit {frequent!r} resolves but "
+                f"{quantity:g} x {rescued.grams_per_unit:g} g/unit exceeds "
+                f"the {max_grams:g} g threshold",
+                rescued,
+            )
+    return ChainResult(None, REASON_CORPUS_UNIT, trace, False)

@@ -26,6 +26,12 @@ ratios and the term-priority sums are identical to the linear scan's,
 so scores, tie-breaks and winners are bit-identical (property-tested
 in ``tests/test_matching_index.py``).
 
+The index has one counting kernel per consumer: the dict walk of
+:meth:`DescriptionIndex.candidate_counts` serves every single-winner
+query (``match()`` and ``match_chunk``, which maps ``match()`` over a
+chunk), and :meth:`DescriptionIndex.candidate_matches` serves the
+ranked ``top_matches()`` view.
+
 :func:`linear_candidate_matches` keeps the O(|DB|) reference
 enumeration alive for verification and benchmarking.
 """
@@ -35,39 +41,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.matching.preprocess import PreprocessedDescription
-
-
-class _ColumnarPostings:
-    """Flattened numpy view of the postings, for chunked counting.
-
-    Built lazily on the first :meth:`DescriptionIndex.
-    batch_candidate_counts` call (numpy stays off the plain import
-    path): every posting list is concatenated into one int64 array
-    with a start-offset table, and each word gets a dense id.  The
-    arrays are read-only derived state — the dict postings remain the
-    source of truth for the per-query path and for serialization.
-    """
-
-    __slots__ = ("word_ids", "flat", "starts", "word_counts", "n_desc")
-
-    def __init__(
-        self,
-        postings: dict[str, tuple[int, ...]],
-        word_counts: Sequence[int],
-    ):
-        import numpy as np
-
-        self.word_ids: dict[str, int] = {}
-        flat: list[int] = []
-        starts: list[int] = [0]
-        for word, indices in postings.items():
-            self.word_ids[word] = len(starts) - 1
-            flat.extend(indices)
-            starts.append(len(flat))
-        self.flat = np.asarray(flat, dtype=np.int64)
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.word_counts = np.asarray(word_counts, dtype=np.int64)
-        self.n_desc = len(word_counts)
 
 
 class DescriptionIndex:
@@ -89,7 +62,6 @@ class DescriptionIndex:
         self._has_raw: tuple[bool, ...] = tuple(
             d.has_raw for d in descriptions
         )
-        self._columnar: _ColumnarPostings | None = None
 
     @classmethod
     def from_parts(
@@ -111,7 +83,6 @@ class DescriptionIndex:
         }
         index._word_counts = tuple(word_counts)
         index._has_raw = tuple(bool(flag) for flag in has_raw)
-        index._columnar = None
         return index
 
     def to_parts(
@@ -175,99 +146,6 @@ class DescriptionIndex:
                 for index in postings.get(word, ()):
                     counts[index] = get(index, 0) + 1
         return counts
-
-    def batch_candidate_counts(
-        self,
-        queries: Sequence[tuple[frozenset[str], frozenset[str] | None]],
-    ) -> list[tuple["object", "object"]]:
-        """Chunked :meth:`candidate_counts` over many queries at once.
-
-        Each ``(query, required)`` pair gets back ``(indices, counts)``
-        — two aligned int64 arrays, *indices* the candidate description
-        ids in ascending order and *counts* the exact ``|A ∩ B|``
-        integers :meth:`candidate_counts` would produce for them.  The
-        whole chunk's seed words are resolved against the flattened
-        postings in one pass: every posting hit lands in a single
-        ``np.bincount`` with a per-query offset (query ``q`` owns slots
-        ``[q*n_desc, (q+1)*n_desc)``), and a second bincount tops up
-        the non-seed query words.  Candidates are rows with at least
-        one seed hit — identical to the dict walk's seeding rule, so
-        the counts (and everything scored from them) are bit-identical.
-        """
-        import numpy as np
-
-        columnar = self._columnar
-        if columnar is None:
-            columnar = _ColumnarPostings(self._postings, self._word_counts)
-            self._columnar = columnar
-        word_ids = columnar.word_ids
-        flat = columnar.flat
-        starts = columnar.starts
-        n_desc = columnar.n_desc
-
-        seed_segments: list = []
-        extra_segments: list = []
-        active: list[bool] = []
-        for q, (query, required) in enumerate(queries):
-            if required is not None:
-                seeds = required if required <= query else required & query
-            else:
-                seeds = query
-            if not seeds:
-                active.append(False)
-                continue
-            active.append(True)
-            base = q * n_desc
-            for word in seeds:
-                wid = word_ids.get(word)
-                if wid is not None:
-                    seed_segments.append(
-                        flat[starts[wid]:starts[wid + 1]] + base
-                    )
-            if seeds is not query:
-                for word in query:
-                    if word in seeds:
-                        continue
-                    wid = word_ids.get(word)
-                    if wid is not None:
-                        extra_segments.append(
-                            flat[starts[wid]:starts[wid + 1]] + base
-                        )
-
-        size = len(queries) * n_desc
-        empty = np.empty(0, dtype=np.int64)
-        if seed_segments:
-            seed_counts = np.bincount(
-                np.concatenate(seed_segments), minlength=size
-            ).reshape(len(queries), n_desc)
-        else:
-            return [(empty, empty) for _ in queries]
-        extra_counts = None
-        if extra_segments:
-            extra_counts = np.bincount(
-                np.concatenate(extra_segments), minlength=size
-            ).reshape(len(queries), n_desc)
-
-        out: list[tuple[object, object]] = []
-        for q, is_active in enumerate(active):
-            if not is_active:
-                out.append((empty, empty))
-                continue
-            row = seed_counts[q]
-            indices = np.nonzero(row)[0]
-            counts = row[indices]
-            if extra_counts is not None:
-                counts = counts + extra_counts[q][indices]
-            out.append((indices, counts))
-        return out
-
-    def word_counts_array(self):
-        """``len(B)`` per description as an int64 array (lazy numpy)."""
-        columnar = self._columnar
-        if columnar is None:
-            columnar = _ColumnarPostings(self._postings, self._word_counts)
-            self._columnar = columnar
-        return columnar.word_counts
 
     def candidate_matches(
         self,

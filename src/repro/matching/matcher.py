@@ -260,128 +260,21 @@ class DescriptionMatcher:
         self._cache[key] = result
         return result
 
-    def match_many(
+    def match_chunk(
         self,
         queries: Iterable[str | Sequence[str]],
     ) -> list[MatchResult | None]:
-        """Batch variant of :meth:`match` over many ingredient lines.
+        """:meth:`match` over many queries, in order.
 
         Each query is a name string or a ``(name[, state[, temperature
         [, dry_fresh]]])`` sequence.  All queries share the
         per-instance result cache, so a corpus where the same
         ingredient+state pair recurs pays the scoring cost once.
         """
-        results: list[MatchResult | None] = []
-        for query in queries:
-            if isinstance(query, str):
-                query = (query,)
-            name, state, temperature, dry_fresh = (
-                tuple(query) + ("", "", "")
-            )[:4]
-            results.append(self.match(name, state, temperature, dry_fresh))
-        return results
-
-    #: Uncached queries per columnar counting pass; bounds the bincount
-    #: scratch space (queries x n_descriptions int64) to a few MB.
-    _CHUNK_QUERIES = 256
-
-    def match_chunk(
-        self,
-        queries: Sequence[Sequence[str]],
-    ) -> list[MatchResult | None]:
-        """Columnar batch variant of :meth:`match` for whole chunks.
-
-        Each query is a ``(name[, state[, temperature[, dry_fresh]]])``
-        sequence.  Cached keys are answered from the per-instance
-        memo; the distinct uncached remainder is scored through
-        :meth:`DescriptionIndex.batch_candidate_counts` — one
-        chunk-wide postings/bincount pass instead of a dict walk per
-        query — and the winners are selected by the same
-        :meth:`_winner_from_tied` code as the per-line path.  Results
-        *and* cache insertion order are bit-identical to mapping
-        :meth:`match` over the queries (first-appearance order, so
-        FIFO eviction behaves identically).
-        """
-        results: list[MatchResult | None] = [None] * len(queries)
-        cache = self._cache
-        order: list[tuple] = []  # (key, name, state, temp, df), distinct
-        positions: dict[tuple, list[int]] = {}
-        for pos, query in enumerate(queries):
-            name, state, temperature, dry_fresh = (
-                tuple(query) + ("", "", "")
-            )[:4]
-            key = (
-                name.lower(), state.lower(),
-                temperature.lower(), dry_fresh.lower(),
-            )
-            cached = cache.get(key, _UNCACHED)
-            if cached is not _UNCACHED:
-                results[pos] = cached
-                continue
-            group = positions.get(key)
-            if group is not None:
-                group.append(pos)
-                continue
-            positions[key] = [pos]
-            order.append((key, name, state, temperature, dry_fresh))
-
-        for begin in range(0, len(order), self._CHUNK_QUERIES):
-            batch = order[begin:begin + self._CHUNK_QUERIES]
-            parts = [
-                self._query_parts(name, state, temperature, dry_fresh)
-                for (_, name, state, temperature, dry_fresh) in batch
-            ]
-            counted = self._index.batch_candidate_counts(
-                [(words, name_words or None) for (words, name_words, _) in parts]
-            )
-            for (key, *_), (words, _, raw_pref), (indices, counts) in zip(
-                batch, parts, counted
-            ):
-                result = None
-                if words:
-                    result = self._best_from_arrays(
-                        words, raw_pref, indices, counts
-                    )
-                cache[key] = result
-                for pos in positions[key]:
-                    results[pos] = result
-        return results
-
-    def _best_from_arrays(
-        self,
-        query: frozenset[str],
-        raw_pref: bool,
-        indices,
-        counts,
-    ) -> MatchResult | None:
-        """:meth:`_best_match` over precomputed candidate arrays.
-
-        *indices*/*counts* are the aligned arrays from
-        :meth:`DescriptionIndex.batch_candidate_counts`.  Scores use
-        the same int-over-int float64 divisions as the dict path
-        (NumPy's elementwise true divide is the identical IEEE
-        operation), and the score-tied leaders go through the shared
-        :meth:`_winner_from_tied`, so the selected match is
-        bit-identical.
-        """
-        if len(indices) == 0:
-            return None
-        config = self._config
-        n_query = len(query)
-        if config.use_modified_jaccard:
-            best_overlap = int(counts.max())
-            best_score = best_overlap / n_query
-            if best_score < config.min_score:
-                return None
-            tied = [int(i) for i in indices[counts == best_overlap]]
-        else:
-            word_counts = self._index.word_counts_array()[indices]
-            scores = counts / (n_query + word_counts - counts)
-            best_score = float(scores.max())
-            if best_score < config.min_score:
-                return None
-            tied = [int(i) for i in indices[scores == best_score]]
-        return self._winner_from_tied(tied, query, raw_pref, best_score)
+        return [
+            self.match(query) if isinstance(query, str) else self.match(*query)
+            for query in queries
+        ]
 
     def _match_uncached(
         self, name: str, state: str, temperature: str, dry_fresh: str
@@ -435,23 +328,10 @@ class DescriptionMatcher:
                     tied.append(i)
             if best_score < config.min_score:
                 return None
-        return self._winner_from_tied(tied, query, raw_pref, best_score)
 
-    def _winner_from_tied(
-        self,
-        tied: list[int],
-        query: frozenset[str],
-        raw_pref: bool,
-        best_score: float,
-    ) -> MatchResult:
-        """Resolve the score-tied leaders to one :class:`MatchResult`.
-
-        Shared by :meth:`_best_match` and the columnar
-        :meth:`match_chunk` path.  The tie-break key ends in the
-        description index — a strict total order — so the order of
-        *tied* never affects the winner.
-        """
-        config = self._config
+        # Resolve the score-tied leaders.  The tie-break key ends in the
+        # description index — a strict total order — so the order of
+        # *tied* never affects the winner.
         descriptions = self._descriptions
         if len(tied) == 1:
             win = tied[0]

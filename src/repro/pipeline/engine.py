@@ -53,9 +53,9 @@ Memory is bounded by the distinct-line working set: recipes are
 streamed (see :func:`repro.recipedb.corpus.iter_recipes_jsonl`), and
 each worker holds at most one chunk at a time.
 
-**Columnar hot path** (ISSUE 9): workers (and the ``workers=1``
+**Columnar hot path**: workers (and the ``workers=1``
 in-process path) drive each chunk through the batched pipeline
-(:mod:`repro.core.columnar`) — chunk-wide tokenize/tag/match stages
+(:mod:`repro.core.columnar`) — chunk-wide tokenize/tag stages
 feeding the unmodified per-line tail — which is bit-identical to a
 per-line ``_estimate_line`` loop by construction and pinned
 differentially by ``tests/test_columnar_parity.py``.

@@ -122,11 +122,6 @@ class ServiceConfig:
         requests degrade to the in-process estimator (bit-identical
         results) for ``breaker_cooldown_s`` before a probe retries
         the engine.
-    engine_min_lines:
-        Distinct-line threshold below which a batch skips the engine
-        even with ``workers > 1`` (pool fan-out costs more than small
-        tables are worth).  Exposed mainly so resilience tests can
-        force the engine path with small corpora.
     procs:
         Pre-fork server processes (``repro serve --procs``).  ``1``
         serves from the single event-loop process; above that the
@@ -162,7 +157,6 @@ class ServiceConfig:
     max_queue: int = 32
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    engine_min_lines: int = ENGINE_MIN_DISTINCT_LINES
     procs: int = 1
     worker_id: int = 0
     reuse_port: bool = False
@@ -203,10 +197,6 @@ class ServiceConfig:
             raise ValueError(
                 f"breaker_cooldown_s must be positive: "
                 f"{self.breaker_cooldown_s}"
-            )
-        if self.engine_min_lines < 1:
-            raise ValueError(
-                f"engine_min_lines must be >= 1: {self.engine_min_lines}"
             )
         if self.procs < 1:
             raise ValueError(f"procs must be >= 1: {self.procs}")
@@ -425,9 +415,10 @@ class ServiceState:
         guarantee).  The engine path fans out through the **persistent
         warm pool** spawned at startup (workers boot once from the
         shared-memory artifact segment and are reused by every batch);
-        it only engages past ``config.engine_min_lines``, where fan-out
-        beats the warm estimator, and runs under its own lock so a
-        large batch never stalls single-recipe traffic.
+        it only engages from :data:`ENGINE_MIN_DISTINCT_LINES` distinct
+        lines up (read at call time), where fan-out beats the warm
+        estimator, and runs under its own lock so a large batch never
+        stalls single-recipe traffic.
 
         The engine path sits behind the circuit breaker: an engine
         failure (chunk retry budget exhausted, pool unusable, artifact
@@ -439,7 +430,7 @@ class ServiceState:
         """
         if (
             self._engine is not None
-            and len(counts) >= self.config.engine_min_lines
+            and len(counts) >= ENGINE_MIN_DISTINCT_LINES
         ):
             if self.breaker.allow():
                 try:

@@ -142,10 +142,6 @@ class UnitFallback:
             for unit, count in units.items():
                 counts[unit] += count
 
-    def clear(self) -> None:
-        """Drop all observations (corpus runs compute stats from scratch)."""
-        self._counts.clear()
-
     def observed_ingredients(self) -> list[str]:
         """All ingredient names with at least one observation."""
         return sorted(self._counts)

@@ -243,8 +243,8 @@ class TestExactParityWithLinearScan:
 
 
 class TestBatchMatch:
-    def test_match_many_mixed_query_shapes(self, matcher):
-        results = matcher.match_many([
+    def test_match_chunk_mixed_query_shapes(self, matcher):
+        results = matcher.match_chunk([
             "red lentils",
             ("coriander", "ground"),
             ("chicken with giblets", "patted dry and quartered"),
@@ -260,9 +260,9 @@ class TestBatchMatch:
             "Butter, salted",
         ]
 
-    def test_match_many_agrees_with_match(self, matcher):
+    def test_match_chunk_agrees_with_match(self, matcher):
         queries = [("egg", ""), ("skim milk", ""), ("apple", "diced")]
-        assert matcher.match_many(queries) == [
+        assert matcher.match_chunk(queries) == [
             matcher.match(n, s) for n, s in queries
         ]
 

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.service import NutritionService, ServiceConfig
+from repro.service import state as service_state
 from repro.service.errors import (
     DeadlineExceededError,
     ServiceOverloadedError,
@@ -383,8 +384,6 @@ class TestConfigurableBodyCap:
             ServiceConfig(breaker_threshold=0)
         with pytest.raises(ValueError, match="breaker_cooldown_s"):
             ServiceConfig(breaker_cooldown_s=0)
-        with pytest.raises(ValueError, match="engine_min_lines"):
-            ServiceConfig(engine_min_lines=0)
 
 
 class TestBreakerDegrade:
@@ -395,10 +394,10 @@ class TestBreakerDegrade:
         answers 200 — the breaker records the failure and the request
         degrades to the (bit-identical) in-process path."""
         monkeypatch.setenv("REPRO_FAULTS", "crash@collect-chunk:0:always")
+        monkeypatch.setattr(service_state, "ENGINE_MIN_DISTINCT_LINES", 4)
         config = ServiceConfig(
             port=0,
             workers=2,
-            engine_min_lines=4,
             breaker_threshold=1,
             breaker_cooldown_s=60,
             request_timeout_s=None,
@@ -449,9 +448,8 @@ class TestBreakerDegrade:
         """A crash the supervisor absorbs (first attempt only) shows
         up in /metrics pipeline counters, and the response matches a
         clean single-process service bit-for-bit."""
-        config = ServiceConfig(
-            port=0, workers=2, engine_min_lines=4, request_timeout_s=None
-        )
+        monkeypatch.setattr(service_state, "ENGINE_MIN_DISTINCT_LINES", 4)
+        config = ServiceConfig(port=0, workers=2, request_timeout_s=None)
         payload = {
             "recipes": [
                 {

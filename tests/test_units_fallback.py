@@ -132,10 +132,3 @@ class TestSnapshotMerge:
         snap = fb.snapshot()
         snap["salt"]["teaspoon"] = 99
         assert fb.unit_distribution("salt") == {"teaspoon": 1}
-
-    def test_clear(self):
-        fb = UnitFallback()
-        fb.observe("salt", "teaspoon")
-        fb.clear()
-        assert fb.most_frequent_unit("salt") is None
-        assert fb.observed_ingredients() == []
