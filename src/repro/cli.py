@@ -246,8 +246,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     report = None
     if use_engine:
         # Sharded/streaming path: the engine traverses the file itself
-        # (twice, bounded memory); recipes stream alongside for titles
-        # and results print as they arrive.  Estimation is lazy here,
+        # (once, bounded memory); the CLI parses it once more for the
+        # titles, streaming alongside, and results print as they
+        # arrive.  Estimation is lazy here,
         # so the timer necessarily spans the consuming loop.
         quarantine = not args.strict
         engine = ShardedCorpusEstimator(

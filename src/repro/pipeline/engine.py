@@ -4,20 +4,23 @@ Distributes the two-phase corpus protocol of
 :meth:`NutritionEstimator.estimate_corpus` across a supervised
 process pool:
 
-1. **Collect (sharded)** — the coordinator streams the corpus once to
-   count distinct ingredient lines (first-occurrence order), then
-   fans chunks of ``(text, count)`` out to workers.  Each worker
-   estimates its chunk without the corpus fallback and returns
-   compact wire estimates plus a mergeable unit-observation snapshot.
+1. **Collect (sharded)** — the coordinator streams the corpus once,
+   interning every ingredient line to the ordinal of its first
+   occurrence and counting it, then fans chunks of ``(text, count)``
+   out to workers.  Each worker estimates its chunk without the
+   corpus fallback and returns compact wire estimates plus a
+   mergeable unit-observation snapshot.
 2. **Merge** — snapshots merge in chunk order
    (:meth:`UnitFallback.merge`), reproducing the exact table — counts
    *and* ``most_common`` tie-break order — a single process builds.
 3. **Re-estimate (sharded)** — only lines that matched a description
    but failed unit resolution go back to the pool, which re-estimates
    them against the frozen merged table.
-4. **Assemble** — the coordinator streams the corpus a second time
-   and aggregates per-recipe results with the same float-operation
-   order as the single-process path.
+4. **Assemble** — the coordinator replays the corpus layout its one
+   traversal recorded (per-occurrence line ordinals, per-recipe end
+   offsets and servings) and aggregates per-recipe results with the
+   same float-operation order as the single-process path; the corpus
+   is never parsed a second time.
 
 Every per-line outcome depends only on the line text and the merged
 table — never on processing order — so the result is **bit-identical**
@@ -49,8 +52,10 @@ missing), which composes with the exact-parity property: a run killed
 at any chunk boundary — or mid-append, leaving a torn journal tail —
 resumes to bit-identical output (``tests/test_durable_resume.py``).
 
-Memory is bounded by the distinct-line working set: recipes are
-streamed (see :func:`repro.recipedb.corpus.iter_recipes_jsonl`), and
+Memory is bounded by the distinct-line table plus 4 bytes per
+ingredient-line occurrence (the ordinal array) and one end offset and
+servings value per recipe: recipes are streamed (see
+:func:`repro.recipedb.corpus.iter_recipes_jsonl`) and never held, and
 each worker holds at most one chunk at a time.
 
 **Columnar hot path**: workers (and the ``workers=1``
@@ -70,15 +75,15 @@ observations are weighted by multiplicity
 identical counts *and* identical key insertion order — hence the same
 ``most_common`` tie-breaks — as n repeated observes, and phase-3
 estimates are pure functions of (text, frozen table), so per-distinct
-results expand to per-occurrence results losslessly on the assembly
-pass.  ``tests/test_dedup_parity.py`` byte-compares the engine end to
-end against a per-occurrence reference that feeds every occurrence
-through :meth:`NutritionEstimator.corpus_estimate_table` as its own
-``(text, 1)`` item.  Estimate-side dead letters are re-numbered by
-the coordinator from line-table ordinals to per-occurrence corpus
-positions, so a poisoned line that occurs k times dead-letters k
-times with correct positions — and the persisted report is
-byte-identical to the reference's and across resume.
+results expand to per-occurrence results losslessly through the
+ordinal array.  ``tests/test_dedup_parity.py`` byte-compares the
+engine end to end against a per-occurrence reference that feeds every
+occurrence through :meth:`NutritionEstimator.corpus_estimate_table`
+as its own ``(text, 1)`` item.  Estimate-side dead letters are
+re-numbered by the coordinator from line-table ordinals to
+per-occurrence corpus positions, so a poisoned line that occurs k
+times dead-letters k times with correct positions — and the persisted
+report is byte-identical to the reference's and across resume.
 
 **Persistent pool** (ISSUE 9): the supervised pool outlives a single
 run.  The first pool run spawns it (workers boot from a shared-memory
@@ -99,6 +104,7 @@ import dataclasses
 import os
 import time
 import weakref
+from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -123,8 +129,8 @@ from repro.runs import DurableRun, RunError, RunJournalError, RunManifest
 from repro.runs.manifest import corpus_identity, new_run_id
 from repro.units.fallback import UnitFallback, snapshot_digest
 
-#: A corpus source the engine can traverse twice: an in-memory
-#: sequence, or a path to a JSONL file (re-streamed per pass).
+#: A corpus source: an in-memory sequence, or a path to a JSONL file
+#: (streamed).  Either is traversed once per run.
 CorpusSource = Sequence[Recipe] | str | Path
 
 #: Default per-chunk wall-clock budget before a worker is presumed
@@ -191,6 +197,33 @@ class RunReport:
             "executed_chunks": self.executed_chunks,
             "resumed": self.resumed,
         }
+
+
+class _Ordinals(dict):
+    """``text -> ordinal``, numbering unseen texts in arrival order.
+
+    Lookups of seen texts stay in C (``map(ordinals.__getitem__,
+    texts)``); only a text's first occurrence runs Python code.
+    """
+
+    def __missing__(self, text: str) -> int:
+        self[text] = ordinal = len(self)
+        return ordinal
+
+
+@dataclass(slots=True)
+class _CorpusLayout:
+    """What the engine's one corpus traversal keeps for assembly."""
+
+    #: Distinct ``(text, count)`` in first-occurrence order; a line's
+    #: position here is its ordinal.
+    lines: list[tuple[str, int]]
+    #: Line ordinal of every ingredient-line occurrence, corpus order.
+    occurrences: array
+    #: Per recipe, the end offset of its lines in *occurrences*.
+    ends: array
+    #: Per recipe, ``servings`` exactly as parsed (never coerced).
+    servings: list
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +322,6 @@ class ShardedCorpusEstimator:
     chunk_size:
         Distinct ingredient lines per pool task.  Bigger chunks
         amortize task/pickle overhead; smaller chunks balance load.
-    max_pending:
-        Retained for API compatibility; the supervised pool holds at
-        most one task per worker, so in-flight work is already
-        bounded tighter than any sensible value of this.
     quarantine:
         With ``True``, malformed JSONL corpus lines and ingredient
         lines whose estimation raises are diverted to dead-letter
@@ -338,7 +367,6 @@ class ShardedCorpusEstimator:
         *,
         workers: int | None = None,
         chunk_size: int = 512,
-        max_pending: int | None = None,
         quarantine: bool = False,
         chunk_deadline_s: float | None = DEFAULT_CHUNK_DEADLINE_S,
         max_chunk_retries: int = DEFAULT_MAX_CHUNK_RETRIES,
@@ -468,14 +496,11 @@ class ShardedCorpusEstimator:
     # ------------------------------------------------------------------
 
     def _stream(
-        self, source: CorpusSource, dead_letters: DeadLetterLog | None = None
+        self, source: CorpusSource, dead_letters: DeadLetterLog
     ) -> Iterator[Recipe]:
-        """One corpus traversal, quarantine-aware for JSONL sources.
-
-        With quarantine on, malformed lines are skipped on **every**
-        pass (both passes must see the identical recipe stream) but
-        recorded only on the pass that supplies *dead_letters*.
-        """
+        """The run's corpus traversal, quarantine-aware for JSONL
+        sources: with quarantine on, malformed lines are skipped and
+        recorded in *dead_letters*."""
         if isinstance(source, (str, Path)):
             if self._quarantine:
                 return iter_recipes_jsonl(
@@ -485,8 +510,8 @@ class ShardedCorpusEstimator:
         if isinstance(source, Sequence):
             return iter(source)
         raise TypeError(
-            "corpus source must be a Sequence[Recipe] or a JSONL path "
-            f"(the engine traverses it twice), got {type(source).__name__}"
+            "corpus source must be a Sequence[Recipe] or a JSONL path, "
+            f"got {type(source).__name__}"
         )
 
     def _begin_run(self) -> RunReport:
@@ -495,34 +520,48 @@ class ShardedCorpusEstimator:
 
     def _line_table(
         self, source: CorpusSource, report: RunReport
-    ) -> list[tuple[str, int]]:
-        """First corpus traversal → the line table the run estimates.
+    ) -> _CorpusLayout:
+        """The run's one corpus traversal → line table and layout.
 
         Hash-conses every ingredient line into a distinct-line table
-        with multiplicities (Counter preserves first-occurrence order;
-        counting runs at C speed), so all downstream work scales with
-        the distinct set.
+        with multiplicities, so all downstream work scales with the
+        distinct set: each occurrence is interned to the ordinal of
+        its line's first occurrence, and counting the ordinal array
+        afterwards runs at C speed.  The ordinals, per-recipe end
+        offsets and servings are everything assembly needs, so the
+        corpus is never parsed again.
         """
-        counts = Counter(
-            text
-            for recipe in self._stream(source, report.dead_letters)
-            for text in recipe.ingredient_texts
+        ordinals = _Ordinals()
+        intern = ordinals.__getitem__
+        occurrences = array("I")
+        ends = array("I")
+        servings = []
+        for recipe in self._stream(source, report.dead_letters):
+            occurrences.extend(map(intern, recipe.ingredient_texts))
+            ends.append(len(occurrences))
+            servings.append(recipe.servings)
+        # Ordinals first occur in increasing order, so the counter's
+        # insertion order is ordinal order.
+        counts = Counter(occurrences)
+        report.total_lines = len(occurrences)
+        report.distinct_lines = len(ordinals)
+        return _CorpusLayout(
+            list(zip(ordinals, counts.values())), occurrences, ends, servings
         )
-        report.total_lines = sum(counts.values())
-        report.distinct_lines = len(counts)
-        return list(counts.items())
 
     @staticmethod
-    def _pull_poisoned(report: RunReport) -> dict[str, tuple[str, str]]:
+    def _pull_poisoned(
+        report: RunReport, lines: list[tuple[str, int]]
+    ) -> dict[int, tuple[str, str]]:
         """Lift estimate-source dead letters out for re-numbering.
 
         Corpus paths renumber estimate-side letters from line-table
         ordinals to per-occurrence corpus positions; this removes them
         from the report (ingest letters keep their 1-based file line
-        numbers) and returns ``truncated input -> (reason, detail)``
-        for the assembly pass to expand.  Estimation is deterministic
-        per text, so every occurrence of a poisoned line shares one
-        reason/detail.
+        numbers) and returns ``line ordinal -> (reason, detail)`` for
+        every line whose truncated text a letter names.  Estimation is
+        deterministic per text, so every occurrence of a poisoned line
+        shares one reason/detail.
         """
         poisoned: dict[str, tuple[str, str]] = {}
         kept = []
@@ -534,7 +573,35 @@ class ShardedCorpusEstimator:
             else:
                 kept.append(letter)
         report.dead_letters.replace(kept)
-        return poisoned
+        if not poisoned:
+            return {}
+        return {
+            ordinal: hit
+            for ordinal, (text, _) in enumerate(lines)
+            if (hit := poisoned.get(text[:MAX_INPUT_CHARS])) is not None
+        }
+
+    @staticmethod
+    def _letter_occurrences(
+        log: DeadLetterLog,
+        layout: _CorpusLayout,
+        poisoned: dict[int, tuple[str, str]],
+        start: int,
+        end: int,
+    ) -> None:
+        """Dead-letter each occurrence of a poisoned line among corpus
+        positions ``start..end-1``, under its position."""
+        occurrences = layout.occurrences
+        for position in range(start, end):
+            hit = poisoned.get(occurrences[position])
+            if hit is not None:
+                log.add(
+                    "estimate",
+                    position,
+                    layout.lines[occurrences[position]][0],
+                    hit[0],
+                    hit[1],
+                )
 
     # ------------------------------------------------------------------
     # durable runs
@@ -616,42 +683,37 @@ class ShardedCorpusEstimator:
     ) -> Iterator[RecipeEstimate]:
         """Stream recipe estimates in corpus order.
 
-        Results are yielded as the second corpus traversal assembles
-        them, so a consumer that writes them out keeps memory bounded
-        by the distinct-line estimate table.
+        Results are assembled from the layout the run's one corpus
+        traversal recorded and yielded one recipe at a time, so memory
+        stays bounded by the distinct-line estimate table plus the
+        layout's 4 bytes per line occurrence.
         """
         report = self._begin_run()
         run = self._durable_run(source)
         self._note_run(report, run)
         try:
-            lines = self._line_table(source, report)
-            estimates = self._estimate_table_into(lines, report, run)
+            layout = self._line_table(source, report)
+            estimates = self._estimate_table_into(layout.lines, report, run)
         finally:
             if run is not None:
                 run.close()
         # Fan-out: per-distinct estimates expand to per-occurrence
-        # results in corpus order, and estimate-side dead letters are
-        # renumbered to per-occurrence positions in the flattened
-        # ingredient-line stream.
-        poisoned = (
-            self._pull_poisoned(report) if report.dead_letters else {}
-        )
+        # results in corpus order through the ordinal array, and
+        # estimate-side dead letters are renumbered to per-occurrence
+        # positions in the flattened ingredient-line stream.
+        table = [estimates[text] for text, _ in layout.lines]
+        del estimates
+        poisoned = self._pull_poisoned(report, layout.lines)
         finish = NutritionEstimator.finish_recipe
-        offset = 0
-        for recipe in self._stream(source):
-            texts = recipe.ingredient_texts
+        occurrences = layout.occurrences
+        start = 0
+        for end, servings in zip(layout.ends, layout.servings):
             if poisoned:
-                log = report.dead_letters
-                for j, text in enumerate(texts):
-                    hit = poisoned.get(text[:MAX_INPUT_CHARS])
-                    if hit is not None:
-                        log.add(
-                            "estimate", offset + j, text, hit[0], hit[1]
-                        )
-            offset += len(texts)
-            yield finish(
-                [estimates[text] for text in texts], recipe.servings
-            )
+                self._letter_occurrences(
+                    report.dead_letters, layout, poisoned, start, end
+                )
+            yield finish([table[i] for i in occurrences[start:end]], servings)
+            start = end
 
     def corpus_diagnostics(self, source: CorpusSource) -> ReasonBreakdown:
         """Reason-code breakdown over a whole corpus (Figure 2 by cause).
@@ -666,30 +728,24 @@ class ShardedCorpusEstimator:
         run = self._durable_run(source)
         self._note_run(report, run)
         try:
-            lines = self._line_table(source, report)
-            table = self._estimate_table_into(lines, report, run)
+            layout = self._line_table(source, report)
+            table = self._estimate_table_into(layout.lines, report, run)
         finally:
             if run is not None:
                 run.close()
-        poisoned = (
-            self._pull_poisoned(report) if report.dead_letters else {}
-        )
+        poisoned = self._pull_poisoned(report, layout.lines)
         if poisoned:
-            # Extra traversal only when something was quarantined: the
-            # letters must carry per-occurrence corpus positions, like
-            # the streaming path's assembly pass produces.
-            log = report.dead_letters
-            offset = 0
-            for recipe in self._stream(source):
-                for j, text in enumerate(recipe.ingredient_texts):
-                    hit = poisoned.get(text[:MAX_INPUT_CHARS])
-                    if hit is not None:
-                        log.add(
-                            "estimate", offset + j, text, hit[0], hit[1]
-                        )
-                offset += len(recipe.ingredient_texts)
+            # The letters carry per-occurrence corpus positions, like
+            # the streaming path's assembly produces.
+            self._letter_occurrences(
+                report.dead_letters,
+                layout,
+                poisoned,
+                0,
+                len(layout.occurrences),
+            )
         return reason_breakdown_from_lines(
-            (table[text], count) for text, count in lines
+            (table[text], count) for text, count in layout.lines
         )
 
     # ------------------------------------------------------------------

@@ -91,9 +91,10 @@ def iter_recipes_jsonl(
     """Stream recipes from a JSONL corpus one at a time.
 
     Memory stays bounded by a single recipe regardless of corpus
-    length — the sharded estimation engine feeds its process pool from
-    this iterator (twice: once to collect distinct-line statistics,
-    once to assemble results), so corpora much larger than RAM work.
+    length — the sharded estimation engine reads a corpus through this
+    iterator once per run, keeping only its distinct-line table and a
+    compact per-occurrence layout for assembly, so corpora much larger
+    than RAM work.
 
     ``on_error`` controls what a malformed line does:
 
@@ -103,8 +104,9 @@ def iter_recipes_jsonl(
       line is recorded in *dead_letters* (when given) with its 1-based
       file line number and a reason code: ``malformed-json`` for
       undecodable JSON, ``invalid-recipe`` for valid JSON missing the
-      recipe schema.  The engine's second corpus traversal passes no
-      log so a bad line is reported once, not once per pass.
+      recipe schema.  ``repro batch`` reads the file a second time
+      for recipe titles and passes no log there, so a bad line is
+      reported once.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")

@@ -10,7 +10,11 @@ weights.
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
+import io
 import pickle
+import pickletools
 import random
 
 import numpy as np
@@ -22,12 +26,19 @@ from repro import (
     RecipeGenerator,
     ShardedCorpusEstimator,
 )
-from repro.core.estimator import STATUS_NAME_ONLY
+from repro.core.estimator import (
+    STATUS_FULL,
+    STATUS_NAME_ONLY,
+    quarantined_estimate,
+)
+from repro.core.resolution import REASON_NO_MATCH, REASON_NO_NAME
 from repro.ner import AveragedPerceptronTagger
 from repro.ner.features import extract_features
+from repro.pipeline import engine as engine_module, wire
 from repro.pipeline.wire import dumps_estimates, loads_estimates
 from repro.recipedb.corpus import save_recipes_jsonl
 from repro.recipedb.generator import GeneratorConfig
+from repro.usda.schema import FoodItem
 
 
 class _ExplodingTagger:
@@ -150,7 +161,6 @@ class TestShardedParity:
             EstimatorSpec(tagger=_ExplodingTagger()),
             workers=2,
             chunk_size=2,
-            max_pending=2,
         )
         with pytest.raises(RuntimeError, match="exploding tagger"):
             engine.estimate_corpus(shuffled_corpus[:12])
@@ -211,6 +221,149 @@ class TestWireCodec:
         wire = dumps_estimates([estimate], estimator.database)
         with pytest.raises(RuntimeError):
             pickle.loads(wire)  # no database bound
+
+
+def _legacy_dumps(estimates, database) -> bytes:
+    """The codec as older run journals hold it: stock reduce for every
+    record plus the ``FoodItem``-only dispatch entry."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    index_of = database.index_of
+    table = copyreg.dispatch_table.copy()
+    table[FoodItem] = lambda food: (
+        wire._restore_food, (index_of(food.ndb_no),)
+    )
+    pickler.dispatch_table = table
+    pickler.dump(list(estimates))
+    return buffer.getvalue()
+
+
+def _assert_same_fields(ours, theirs) -> None:
+    """Equal field for field, recursing through nested records, with
+    every leaf of the same type."""
+    assert type(ours) is type(theirs)
+    for f in dataclasses.fields(ours):
+        a, b = getattr(ours, f.name), getattr(theirs, f.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same_fields(a, b)
+        else:
+            assert type(a) is type(b), f.name
+            assert a == b, f.name
+
+
+def _opcodes(blob: bytes) -> set[str]:
+    return {op.name for op, _, _ in pickletools.genops(blob)}
+
+
+class TestWireRecords:
+    """Field-tuple records: every estimate shape, and older blobs."""
+
+    @pytest.fixture(scope="class")
+    def shapes(self, shuffled_corpus):
+        """One estimate of each shape the pipeline emits."""
+        estimator = NutritionEstimator()
+        flat = [
+            line
+            for recipe in estimator.estimate_corpus(shuffled_corpus[:60])
+            for line in recipe.ingredients
+        ]
+        picks = {
+            "full": lambda e: e.status == STATUS_FULL
+            and not e.used_fallback_unit,
+            "name-only": lambda e: e.status == STATUS_NAME_ONLY,
+            "fallback-unit": lambda e: e.used_fallback_unit,
+        }
+        shapes = {
+            name: next(e for e in flat if pick(e))
+            for name, pick in picks.items()
+        }
+        shapes["no-name"] = estimator.estimate_ingredient("to taste")
+        shapes["no-description-match"] = estimator.estimate_ingredient(
+            "2 teaspoons garam masala"
+        )
+        shapes["quarantined"] = quarantined_estimate(
+            "1 cup poison", RuntimeError("boom")
+        )
+        assert shapes["no-name"].reason == REASON_NO_NAME
+        assert shapes["no-description-match"].reason == REASON_NO_MATCH
+        return estimator, shapes
+
+    @pytest.mark.parametrize("shape", [
+        "full", "name-only", "fallback-unit", "no-name",
+        "no-description-match", "quarantined",
+    ])
+    def test_every_shape_round_trips_field_for_field(self, shapes, shape):
+        estimator, by_shape = shapes
+        estimate = by_shape[shape]
+        foods = list(estimator.database)
+        (decoded,) = loads_estimates(
+            dumps_estimates([estimate], estimator.database), foods
+        )
+        _assert_same_fields(decoded, estimate)
+        if estimate.match is not None:
+            assert decoded.match.food is foods[estimate.match.db_index]
+
+    def test_records_travel_as_field_tuples(self, shapes):
+        """No record goes through the dataclass ``__setstate__``."""
+        estimator, by_shape = shapes
+        estimates = list(by_shape.values())
+        assert "BUILD" not in _opcodes(
+            dumps_estimates(estimates, estimator.database)
+        )
+        assert "BUILD" in _opcodes(
+            _legacy_dumps(estimates, estimator.database)
+        )
+
+    def test_legacy_blob_still_decodes(self, shapes, shuffled_corpus):
+        estimator, by_shape = shapes
+        estimates = list(by_shape.values()) + [
+            estimator.estimate_ingredient(text)
+            for recipe in shuffled_corpus[:20]
+            for text in recipe.ingredient_texts
+        ]
+        blob = _legacy_dumps(estimates, estimator.database)
+        decoded = loads_estimates(blob, estimator.database)
+        assert decoded == estimates
+        for ours, theirs in zip(decoded, estimates):
+            _assert_same_fields(ours, theirs)
+
+    def test_resume_of_legacy_journal_is_byte_identical(
+        self, monkeypatch, tmp_path, shuffled_corpus
+    ):
+        """A journal whose chunks were written by the older codec
+        resumes to the output of a clean run, repr for repr."""
+        from repro.runs import RunJournal, RunManifest
+
+        path = tmp_path / "corpus.jsonl"
+        save_recipes_jsonl(shuffled_corpus[:60], path)
+        with ShardedCorpusEstimator(workers=2, chunk_size=40) as engine:
+            clean = engine.estimate_corpus(str(path))
+
+        # Forked pool workers inherit the patched module global, so
+        # every journaled chunk is a legacy blob.
+        monkeypatch.setattr(engine_module, "dumps_estimates", _legacy_dumps)
+        run_dir = tmp_path / "run"
+        with ShardedCorpusEstimator(
+            workers=2, chunk_size=40, run_dir=run_dir
+        ) as engine:
+            engine.estimate_corpus(str(path))
+        monkeypatch.undo()
+        records = RunJournal(run_dir / "journal.bin").scan().records
+        assert len(records) >= 4
+        assert "BUILD" in _opcodes(records[1].payload["wire"])
+        with (run_dir / "journal.bin").open("r+b") as handle:
+            handle.truncate(records[3].offset)
+        manifest = RunManifest.load(run_dir)
+        manifest.status = "running"
+        manifest.save(run_dir)
+        with ShardedCorpusEstimator(
+            workers=2, chunk_size=40, run_dir=run_dir, resume=True
+        ) as engine:
+            resumed = engine.estimate_corpus(str(path))
+            report = engine.last_report
+        assert report.replayed_chunks >= 2 and report.executed_chunks >= 1
+        assert resumed == clean
+        assert repr(resumed) == repr(clean)
 
 
 class TestVectorizedPerceptron:
