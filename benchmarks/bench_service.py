@@ -12,10 +12,7 @@ pre-fork rewrite.  It measures, per topology:
   collapse and no request may fail,
 * **per-endpoint series** — cached and uncached latency percentiles
   for ``/v1/estimate``, ``/v1/match`` and ``/v1/parse``,
-* **batch** — one corpus-sized ``/v1/estimate_batch`` request,
-* **fragment cache** (ISSUE 10) — repeated oversized batches (bodies
-  past the whole-response cache's cap) with warm vs cleared
-  serialized-estimate fragments; floor >= 1.2x, smoke mode included.
+* **batch** — one corpus-sized ``/v1/estimate_batch`` request.
 
 Two topologies run: the in-process single event loop (directly
 comparable to the seed server's single-process number) and a real
@@ -84,14 +81,6 @@ N_ENDPOINT = 40 if SMOKE else 100
 MIN_CACHED_RPS_1CONN = 300.0 if SMOKE else 1000.0
 MIN_PROCS2_CACHED_RPS = 600.0 if SMOKE else SEED_SINGLE_PROCESS_RPS
 MAX_CACHED_P99_MS = 500.0 if SMOKE else 250.0
-
-#: Fragment-cache series: recipes in the repeated oversized batch
-#: (big enough that the serialized body exceeds the whole-response
-#: cache's 256 KB cap in both modes), and the floor for warm-fragment
-#: assembly vs a cleared fragment cache — enforced in smoke mode too
-#: (the delta is pure serialization work, which needs no scale).
-FRAGMENT_RECIPES = 200
-MIN_FRAGMENT_SPEEDUP = 1.2
 
 _RESULTS: dict | None = None
 
@@ -483,57 +472,6 @@ def _bench_prefork(work: dict, procs: int) -> dict:
     }
 
 
-def _bench_fragment_cache() -> dict:
-    """Serialized-estimate byte cache on repeated ``/v1/estimate_batch``.
-
-    The workload the fragment cache exists for: a batch too large for
-    the whole-response cache (> 256 KB serialized), repeated — every
-    repeat re-estimates and re-assembles the body, but under the same
-    stats token the per-ingredient JSON replays from cache instead of
-    re-running ``json.dumps``.  The baseline clears the fragment cache
-    before each run (same warm estimator, cold fragments), so the
-    delta is serialization work alone."""
-    from repro.service import codec
-    from repro.service.state import ServiceState
-
-    recipes = RecipeGenerator(
-        config=GeneratorConfig(seed=7, line_reuse=0.87)
-    ).generate(FRAGMENT_RECIPES)
-    request = codec.BatchRequest(
-        recipes=tuple(
-            codec.EstimateRequest(
-                ingredients=tuple(r.ingredient_texts), servings=r.servings
-            )
-            for r in recipes
-        )
-    )
-    state = ServiceState(ServiceConfig(port=0))
-    body = state.estimate_batch(request)  # warm estimator + fragments
-
-    def timed(fn) -> float:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
-    warm_s = min(timed(lambda: state.estimate_batch(request))
-                 for _ in range(3))
-
-    def cold_fragments():
-        state._fragment_cache.clear()
-        state.estimate_batch(request)
-
-    cold_s = min(timed(cold_fragments) for _ in range(3))
-    stats = state.caches_snapshot()["fragment"]
-    return {
-        "recipes": len(recipes),
-        "body_bytes": len(body),
-        "fragment_entries": stats["size"],
-        "cold_fragments_ms": round(cold_s * 1000, 2),
-        "warm_fragments_ms": round(warm_s * 1000, 2),
-        "speedup": round(cold_s / warm_s, 2),
-    }
-
-
 def run_benchmark() -> dict:
     """Drive every topology and series once, return the results."""
     global _RESULTS
@@ -543,7 +481,6 @@ def run_benchmark() -> dict:
     work = _build_workloads()
     inproc = _bench_inproc(work)
     prefork = _bench_prefork(work, procs=2)
-    fragment = _bench_fragment_cache()
 
     results = {
         "benchmark": "service",
@@ -564,7 +501,6 @@ def run_benchmark() -> dict:
         },
         "inproc": inproc,
         "procs2": prefork,
-        "fragment_cache": fragment,
     }
     write_result("BENCH_service.json", json.dumps(results, indent=2))
     _RESULTS = results
@@ -661,15 +597,6 @@ def test_cached_is_faster_than_uncached():
     results = run_benchmark()
     estimate = results["inproc"]["endpoints"]["estimate"]
     assert estimate["cached"]["p50_ms"] < estimate["uncached"]["p50_ms"]
-
-
-def test_fragment_cache_speeds_repeated_batches():
-    """Floor enforced in smoke mode too: warm fragments must beat a
-    cleared fragment cache on the repeated oversized batch."""
-    results = run_benchmark()
-    fragment = results["fragment_cache"]
-    assert fragment["body_bytes"] > 256 * 1024, fragment
-    assert fragment["speedup"] >= MIN_FRAGMENT_SPEEDUP, fragment
 
 
 if __name__ == "__main__":

@@ -75,10 +75,7 @@ from repro.runs import (
     run_summary,
 )
 from repro.service import ServiceConfig, serve
-from repro.service.state import (
-    DEFAULT_FRAGMENT_CACHE_CAP,
-    DEFAULT_RESPONSE_CACHE_CAP,
-)
+from repro.service.state import DEFAULT_RESPONSE_CACHE_CAP
 from repro.eval.tables import (
     render_table_i,
     render_table_ii,
@@ -436,7 +433,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             cache_cap=args.cache_cap,
-            fragment_cache_cap=args.fragment_cache_cap,
             spec=_spec_from_args(args),
             max_body_bytes=args.max_body_bytes,
             request_timeout_s=(
@@ -637,11 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_RESPONSE_CACHE_CAP,
                            help="response cache entry cap (default "
                                 f"{DEFAULT_RESPONSE_CACHE_CAP})")
-    serve_cmd.add_argument("--fragment-cache-cap", type=int,
-                           default=DEFAULT_FRAGMENT_CACHE_CAP, metavar="N",
-                           help="serialized-estimate fragment cache entry "
-                                "cap (default "
-                                f"{DEFAULT_FRAGMENT_CACHE_CAP})")
     serve_cmd.add_argument("--request-timeout", type=float, default=30.0,
                            metavar="SECONDS",
                            help="per-request estimation deadline; "

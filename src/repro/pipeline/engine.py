@@ -168,9 +168,10 @@ class RunReport:
     #: duplicate collapse.
     total_lines: int = 0
     distinct_lines: int = 0
-    #: Content digest of the frozen phase-boundary unit table — the
-    #: statistics half of the service tier's fragment-cache token
-    #: (:func:`repro.units.fallback.snapshot_digest`).
+    #: Content digest of the frozen phase-boundary unit table
+    #: (:func:`repro.units.fallback.snapshot_digest`); equal to the
+    #: in-process path's digest by the exact-parity guarantee, which
+    #: ``tests/test_dedup_parity.py`` checks through it.
     stats_digest: str | None = None
 
     @property

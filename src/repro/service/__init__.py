@@ -38,7 +38,8 @@ estimation (bit-identical results) when the pool misbehaves.
 Modules:
 
 * :mod:`repro.service.state`    — :class:`ServiceConfig`,
-  :class:`ServiceState`: the warm estimator, response cache, locks,
+  :class:`ServiceState`: the warm estimator, response cache, locks
+  and the endpoints' estimation logic,
 * :mod:`repro.service.codec`    — request validation/normalization and
   response encoding,
 * :mod:`repro.service.handlers` — route table + dispatch (caching,

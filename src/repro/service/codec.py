@@ -386,16 +386,15 @@ def encode_recipe_estimate(estimate: RecipeEstimate) -> dict:
 
 
 # ----------------------------------------------------------------------
-# fragment assembly (serialized-estimate byte cache)
+# fragment assembly
 
 
 def dumps_ingredient_fragment(estimate: IngredientEstimate) -> bytes:
     """One ingredient estimate as compact JSON bytes.
 
-    The unit the service's fragment cache stores: an estimate is a
-    pure function of (line text, frozen stats table, database), so the
-    rendered bytes can be reused across requests under the same stats
-    token without re-running ``json.dumps``.
+    The unit the service renders once per distinct line of a request
+    and splices into every recipe that uses the line, instead of
+    re-running ``json.dumps`` per occurrence.
     """
     return json.dumps(
         encode_ingredient_estimate(estimate), separators=(",", ":")
@@ -411,7 +410,7 @@ def assemble_recipe_estimate_bytes(
     by construction: with ``separators=(",", ":")`` the dump of a
     composite object is exactly the concatenation of the dumps of its
     parts, so dropping the head's closing brace and appending the
-    ``ingredients`` array from the cached fragments reproduces the
+    ``ingredients`` array from the rendered fragments reproduces the
     monolithic serialization (``tests/test_fragment_cache.py`` pins
     the equality).  *fragments* must be the recipe's ingredients in
     order.
@@ -476,7 +475,7 @@ def encode_explanation(explanation: LineExplanation) -> dict:
 def dumps_body(body: dict | bytes) -> bytes:
     """Serialize a response body exactly as the server ships it.
 
-    Bodies that were already assembled from cached fragments (the
+    Bodies that were already assembled from rendered fragments (the
     estimation endpoints return bytes) pass through untouched, so the
     dispatch path is agnostic to which render path produced them.
     """

@@ -13,7 +13,9 @@ corpus, so responses depend only on the request payload — never on
 request ordering or service history.  That determinism is what makes
 response caching sound: a :class:`BoundedCache` maps normalized
 request payloads to serialized response bytes, and a hit skips the
-pipeline entirely.
+pipeline entirely.  Below that cache nothing outlives a request: a
+miss renders each distinct ingredient line's JSON once and splices it
+into every recipe of the request that uses it.
 
 Estimation runs under one lock.  The pipeline is pure Python and
 CPU-bound, so the GIL serializes the work anyway; the lock just keeps
@@ -47,20 +49,14 @@ from repro.service.resilience import (
     CircuitBreaker,
     Deadline,
 )
-from repro.units.fallback import snapshot_digest
+# The benchmark tracer wraps this name to count digests per request.
+from repro.units.fallback import snapshot_digest  # noqa: F401
 from repro.utils import BoundedCache
 
 log = logging.getLogger("repro.service")
 
 #: Default entry cap for the response cache.
 DEFAULT_RESPONSE_CACHE_CAP = 4096
-
-#: Default entry cap for the serialized-estimate fragment cache.  One
-#: entry is one ingredient line's rendered JSON (typically a few
-#: hundred bytes), keyed by (stats token, line text); real corpora
-#: reuse a small distinct-line vocabulary heavily (Zipf), so a cap in
-#: the tens of thousands covers the working set in a few MB.
-DEFAULT_FRAGMENT_CACHE_CAP = 1 << 15
 
 #: Bodies larger than this are never cached.  Single-recipe responses
 #: are a few KB, but batch responses reach MBs (5000 recipes are
@@ -93,11 +89,6 @@ class ServiceConfig:
         on the in-process estimator.
     cache_cap:
         Entry cap for the response cache (FIFO eviction).
-    fragment_cache_cap:
-        Entry cap for the serialized-estimate fragment cache: rendered
-        per-ingredient JSON bytes keyed by (stats token, line text),
-        reused across requests to skip re-serialization (``repro serve
-        --fragment-cache-cap``).
     spec:
         The estimator configuration the service builds once at
         startup; picklable, so the same spec also parameterizes the
@@ -149,7 +140,6 @@ class ServiceConfig:
     port: int = 8080
     workers: int = 1
     cache_cap: int = DEFAULT_RESPONSE_CACHE_CAP
-    fragment_cache_cap: int = DEFAULT_FRAGMENT_CACHE_CAP
     spec: EstimatorSpec = field(default_factory=EstimatorSpec)
     max_body_bytes: int = 1 << 20
     request_timeout_s: float | None = 30.0
@@ -168,10 +158,6 @@ class ServiceConfig:
             raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.cache_cap < 1:
             raise ValueError(f"cache_cap must be >= 1: {self.cache_cap}")
-        if self.fragment_cache_cap < 1:
-            raise ValueError(
-                f"fragment_cache_cap must be >= 1: {self.fragment_cache_cap}"
-            )
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
         if self.max_body_bytes < 1:
@@ -224,14 +210,6 @@ class ServiceState:
         # The warm shared estimator — the service's whole reason to
         # exist.  Built eagerly so the first request is already fast.
         self._estimator = config.spec.build()
-        # Database half of the fragment-cache token, computed once at
-        # startup.  A rendered ingredient fragment is a pure function
-        # of (line text, frozen stats table, database); the token
-        # binds the last two, so an artifact swap (new process, new
-        # fingerprint) can never replay stale bytes.
-        from repro.artifacts import database_fingerprint
-
-        self._db_epoch = database_fingerprint(self._estimator.database)
         # For an artifact-backed spec, pin the engine (and through it
         # every pool worker) to the exact database the warm estimator
         # was built from: if the artifact file is replaced under a
@@ -242,8 +220,13 @@ class ServiceState:
         # per pool spawn, worker-side comparison is a string equality.
         engine_spec = config.spec
         if engine_spec.artifact_path is not None:
+            from repro.artifacts import database_fingerprint
+
             engine_spec = dataclasses.replace(
-                engine_spec, expected_fingerprint=self._db_epoch
+                engine_spec,
+                expected_fingerprint=database_fingerprint(
+                    self._estimator.database
+                ),
             )
         self._engine: ShardedCorpusEstimator | None = (
             ShardedCorpusEstimator(
@@ -287,14 +270,11 @@ class ServiceState:
         self._response_cache: BoundedCache[str, bytes] = BoundedCache(
             config.cache_cap
         )
-        # Serialized-estimate byte cache: (stats token, line text) ->
-        # rendered ingredient JSON.  Own lock — fragment probes happen
-        # inside response assembly and must not contend with whole-
-        # body response-cache traffic.
-        self._fragment_lock = threading.Lock()
-        self._fragment_cache: BoundedCache[tuple[str, str], bytes] = (
-            BoundedCache(config.fragment_cache_cap)
-        )
+        # Within-request fragment reuse, reported as caches.fragment:
+        # ingredient occurrences served from a line already rendered
+        # in the same request (hits) and lines rendered (misses).
+        self._fragment_hits = 0
+        self._fragment_misses = 0
 
     @property
     def estimator(self) -> NutritionEstimator:
@@ -389,26 +369,21 @@ class ServiceState:
 
     def _local_table(
         self, counts: dict[str, int], deadline: Deadline | None
-    ) -> tuple[dict, str]:
-        """In-process table plus the digest of the stats it froze."""
+    ) -> dict:
+        """Distinct-line table -> final estimates on the warm estimator."""
         self._checkpoint(deadline, "estimation")
         quarantine = DeadLetterLog()
         with self._estimator_lock:
-            table, snapshot = self._estimator.corpus_protocol(
+            table, _ = self._estimator.corpus_protocol(
                 counts, quarantine=quarantine
             )
         self.note_dead_letters(len(quarantine))
-        return table, snapshot_digest(snapshot)
+        return table
 
     def _estimate_table(
         self, counts: dict[str, int], deadline: Deadline | None = None
-    ) -> tuple[dict, str]:
+    ) -> dict:
         """Distinct-line table -> final estimates, engine or in-process.
-
-        Returns ``(table, stats_digest)`` — the digest of the run's
-        frozen phase-boundary unit table, identical across the engine
-        and in-process paths (exact-parity guarantee) and consumed as
-        the statistics half of the fragment-cache token.
 
         Both paths run the identical two-phase corpus protocol, so the
         choice is invisible in the response (the engine's exact-parity
@@ -438,7 +413,6 @@ class ServiceState:
                     with self._engine_lock:
                         table = self._engine.estimate_table(counts)
                         report = self._engine.last_report
-                        digest = report.stats_digest or snapshot_digest({})
                 except PipelineError:
                     # The fan-out *machinery* failed (chunk retry
                     # budget exhausted, pool unusable) — a transient
@@ -458,47 +432,39 @@ class ServiceState:
                 else:
                     self.breaker.record_success()
                     self.absorb_report(report)
-                    return table, digest
+                    return table
             else:
                 self.note_degraded_batch()
         return self._local_table(counts, deadline)
 
-    def _fragment_bytes(self, token: str, text: str, estimate) -> bytes:
-        """Rendered JSON for one ingredient estimate, cached by token.
+    def _render_recipes(
+        self, recipes: list[tuple[tuple[str, ...], float]], table: dict
+    ) -> list[bytes]:
+        """Response bodies for ``(texts, servings)`` recipes.
 
-        The cache key binds the line text to the (database, frozen
-        stats table) pair the estimate was computed under; under the
-        same token a line's estimate — and therefore its bytes — is
-        identical by the protocol's purity guarantee, so a hit skips
-        ``json.dumps`` entirely.
+        Each distinct line of *table* is rendered once for the whole
+        request and spliced into every recipe that uses it; nothing
+        outlives the request, so no bytes can be replayed under other
+        statistics or another database.  Byte-identical to serializing
+        the monolithic dict (pinned by ``tests/test_fragment_cache.py``).
         """
-        key = (token, text)
-        with self._fragment_lock:
-            cached = self._fragment_cache.get(key)
-        if cached is not None:
-            return cached
-        rendered = codec.dumps_ingredient_fragment(estimate)
-        with self._fragment_lock:
-            self._fragment_cache[key] = rendered
-        return rendered
-
-    def _render_recipe(
-        self, texts: list[str], servings: float, table: dict, token: str
-    ) -> bytes:
-        """One recipe's response body, assembled from cached fragments.
-
-        Byte-identical to serializing the monolithic dict (pinned by
-        ``tests/test_fragment_cache.py``); the recipe head is always
-        rendered fresh — aggregates vary per recipe — while the
-        per-ingredient bodies come from the fragment cache.
-        """
-        recipe = NutritionEstimator.finish_recipe(
-            [table[text] for text in texts], servings
-        )
-        return codec.assemble_recipe_estimate_bytes(
-            recipe,
-            [self._fragment_bytes(token, text, table[text]) for text in texts],
-        )
+        fragments = {
+            text: codec.dumps_ingredient_fragment(estimate)
+            for text, estimate in table.items()
+        }
+        occurrences = sum(len(texts) for texts, _ in recipes)
+        with self._cache_lock:
+            self._fragment_hits += occurrences - len(fragments)
+            self._fragment_misses += len(fragments)
+        return [
+            codec.assemble_recipe_estimate_bytes(
+                NutritionEstimator.finish_recipe(
+                    [table[text] for text in texts], servings
+                ),
+                [fragments[text] for text in texts],
+            )
+            for texts, servings in recipes
+        ]
 
     def estimate(
         self,
@@ -507,20 +473,17 @@ class ServiceState:
     ) -> bytes:
         """``/v1/estimate``: one recipe, always on the warm estimator.
 
-        Returns the serialized response body, assembled from the
-        fragment cache.
+        Returns the serialized response body.
         """
         counts = dict(Counter(request.ingredients))
-        table, digest = self._local_table(counts, deadline)
+        table = self._local_table(counts, deadline)
         self.metrics.observe_reasons(
             table[text].reason for text in request.ingredients
         )
-        return self._render_recipe(
-            request.ingredients,
-            request.servings,
-            table,
-            f"{self._db_epoch}:{digest}",
+        (body,) = self._render_recipes(
+            [(request.ingredients, request.servings)], table
         )
+        return body
 
     def estimate_batch(
         self,
@@ -534,9 +497,9 @@ class ServiceState:
         over the same recipes.  With ``workers > 1`` and enough
         distinct lines the table fans out through the sharded engine
         (wire codec and all); results are bit-identical either way.
-        Returns the serialized response body: per-ingredient JSON
-        comes from the fragment cache (batches repeat lines heavily,
-        so most of the body is assembled, not re-serialized).
+        Returns the serialized response body: batches repeat lines
+        heavily, so each distinct line's JSON is rendered once and
+        spliced into every recipe that uses it.
         """
         counts = dict(
             Counter(
@@ -545,7 +508,7 @@ class ServiceState:
                 for text in recipe.ingredients
             )
         )
-        table, digest = self._estimate_table(counts, deadline)
+        table = self._estimate_table(counts, deadline)
         if deadline is not None:
             deadline.check("response assembly")
         self.metrics.observe_reasons(
@@ -553,14 +516,14 @@ class ServiceState:
             for recipe in request.recipes
             for text in recipe.ingredients
         )
-        token = f"{self._db_epoch}:{digest}"
         return codec.assemble_batch_bytes(
-            [
-                self._render_recipe(
-                    recipe.ingredients, recipe.servings, table, token
-                )
-                for recipe in request.recipes
-            ]
+            self._render_recipes(
+                [
+                    (recipe.ingredients, recipe.servings)
+                    for recipe in request.recipes
+                ],
+                table,
+            )
         )
 
     def match(self, request: codec.MatchRequest) -> dict:
@@ -665,17 +628,27 @@ class ServiceState:
         }
 
     def caches_snapshot(self) -> dict:
-        """Hit/miss/eviction stats for every BoundedCache tier.
+        """Hit/miss/eviction stats for every cache tier.
 
         The parse and matcher memos live inside the estimator; their
         counters are plain ints bumped under the estimator lock, and
         reading ints/lens is atomic, so the snapshot skips that lock —
         ``/metrics`` must answer even while a big batch holds it.
+        ``fragment`` is not a store: it counts rendered lines (misses)
+        and occurrences reusing a line rendered earlier in the same
+        request (hits), so ``size``, ``cap`` and ``evictions`` read 0.
         """
         with self._cache_lock:
             response = self._response_cache.stats()
-        with self._fragment_lock:
-            fragment = self._fragment_cache.stats()
+            hits, misses = self._fragment_hits, self._fragment_misses
+        fragment = {
+            "size": 0,
+            "cap": 0,
+            "hits": hits,
+            "misses": misses,
+            "evictions": 0,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
         return {
             "parse": self._estimator.parse_cache_stats(),
             "matcher": self._estimator.matcher.cache_stats(),

@@ -157,11 +157,11 @@ def snapshot_digest(snapshot: dict[str, dict[str, int]]) -> str:
     Serialized *without* key sorting: insertion order decides
     ``most_common`` tie-breaks, so two tables with equal counts but
     different key order can answer ``most_frequent_unit`` differently
-    and must digest differently.  Used as the statistics component of
-    the service tier's fragment-cache token — estimates are a pure
-    function of (line text, frozen table, database artifact), so equal
-    digests under the same artifact mean byte-equal serialized
-    estimates.
+    and must digest differently.  Estimates are a pure function of
+    (line text, frozen table, database artifact), so equal digests
+    under the same artifact mean equal estimates; the sharded engine
+    records one per run (``RunReport.stats_digest``) so parity checks
+    can compare its frozen table with the in-process path's.
     """
     payload = json.dumps(snapshot, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

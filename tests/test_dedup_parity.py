@@ -248,8 +248,9 @@ class TestDurableDedup:
 
 class TestServiceByteParity:
     def test_responses_byte_identical_with_dedup_flipped(self, corpus):
-        """Service bodies (collapsed tables, fragment cache) equal bodies
-        rendered from the per-occurrence reference table."""
+        """Service bodies (collapsed tables, each distinct line
+        rendered once per request) equal bodies rendered from the
+        per-occurrence reference table."""
         from repro.service import codec
         from repro.service.state import ServiceConfig, ServiceState
 

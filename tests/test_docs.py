@@ -2,12 +2,15 @@
 
 Runs the same check as ``tools/check_docs.py`` (and the CI docs job)
 inside the tier-1 suite, so a renamed doc or a typoed relative link
-fails before it reaches CI.
+fails before it reaches CI.  Also checks that the ``serve`` flag
+table in docs/operations.md lists exactly the options the CLI defines.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -69,6 +72,33 @@ def test_readme_links_into_docs():
                    "docs/performance.md", "docs/operations.md",
                    "docs/artifact-format.md"):
         assert target in text, f"README.md does not link {target}"
+
+
+def _serve_flag_table() -> set[str]:
+    """Flags listed in the ``serve`` flag reference of operations.md."""
+    text = (REPO_ROOT / "docs" / "operations.md").read_text(encoding="utf-8")
+    section = text.split("## `serve` flag reference", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(--[a-z0-9-]+)`", section, re.MULTILINE))
+
+
+def test_serve_flag_table_matches_cli():
+    """Every ``repro serve`` option has a row, and every row an option."""
+    from repro.cli import build_parser
+
+    (subcommands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for action in subcommands.choices["serve"]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    documented = _serve_flag_table()
+    assert options - documented == set(), "undocumented serve flags"
+    assert documented - options == set(), "documented flags serve lacks"
 
 
 class TestSnippetChecker:

@@ -1,23 +1,25 @@
-"""Serialized-estimate byte cache: fragment assembly and reuse.
+"""Per-request fragment rendering: byte-exact assembly and reuse.
 
 The service's estimation endpoints assemble their response bodies
-from pre-serialized per-ingredient JSON fragments, cached by
-``(stats token, line text)``.  Two contracts matter:
+from pre-serialized per-ingredient JSON fragments.  Two contracts
+matter:
 
 * **byte exactness** — an assembled body is byte-identical to
   ``json.dumps`` of the monolithic dict the endpoints used to build
   (clients and the whole-response cache must not observe the
   refactor);
-* **keyed invalidation** — the token binds the database fingerprint
-  and the request's frozen-stats digest, so a request whose corpus
-  statistics differ never replays another request's bytes, while
-  repeats under the same token skip serialization entirely (the
-  ``caches`` section of ``/metrics`` makes the hits observable).
+* **per-request reuse** — each distinct line of a request is rendered
+  once and spliced into every recipe that uses it, and nothing
+  outlives the request, so a repeat renders again instead of replaying
+  bytes frozen under another request's statistics (the ``caches``
+  section of ``/metrics`` reports both counts under ``fragment``).
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -102,30 +104,64 @@ class TestAssemblyByteExactness:
 
 
 class TestFragmentReuse:
-    def test_repeat_batch_hits_fragment_cache(self, state, recipes):
-        request = _batch_request(recipes)
-        first = state.estimate_batch(request)
+    def test_each_distinct_line_renders_once_per_request(self, state, recipes):
+        """Misses count rendered lines, hits count the other
+        occurrences; a repeat of the same batch renders every line
+        again because no bytes outlive a request."""
+        batch = recipes + recipes[:3]
+        request = _batch_request(batch)
+        occurrences = sum(len(r.ingredient_texts) for r in batch)
+        distinct = len({t for r in batch for t in r.ingredient_texts})
+        assert occurrences > distinct
+
+        def moved(before, after):
+            return (
+                after["misses"] - before["misses"],
+                after["hits"] - before["hits"],
+            )
+
         before = state.caches_snapshot()["fragment"]
+        first = state.estimate_batch(request)
+        middle = state.caches_snapshot()["fragment"]
         second = state.estimate_batch(request)
         after = state.caches_snapshot()["fragment"]
         assert second == first
-        distinct = len(
-            {t for r in recipes for t in r.ingredient_texts}
-        )
-        # Every distinct line of the repeat was served from cache.
-        assert after["hits"] - before["hits"] >= distinct
-        assert after["misses"] == before["misses"]
+        assert moved(before, middle) == (distinct, occurrences - distinct)
+        assert moved(middle, after) == (distinct, occurrences - distinct)
+        assert after["size"] == after["cap"] == after["evictions"] == 0
 
-    def test_different_stats_token_never_replays_bytes(self, state, recipes):
-        """Same line, different batch statistics: the frozen unit
-        table differs, so the token differs and the line re-renders
-        instead of replaying the other batch's fragment."""
-        state.estimate_batch(_batch_request(recipes[:4]))
+    def test_concurrent_requests_lose_no_counts(self, state):
+        """Server threads share the counters: every request's counts
+        land even with more threads than cores and frequent switches."""
+        texts = ("1 tsp salt", "2 cups flour", "1 tsp salt")
+        table = NutritionEstimator().corpus_estimate_table({
+            "1 tsp salt": 2, "2 cups flour": 1,
+        })
+        threads, repeats = 8, 200
         before = state.caches_snapshot()["fragment"]
-        state.estimate_batch(_batch_request(recipes[4:8]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        state._render_recipes([(texts, 2)], table)
+                        for _ in range(repeats)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         after = state.caches_snapshot()["fragment"]
-        # Disjoint recipes => a different stats digest => all misses.
-        assert after["misses"] > before["misses"]
+        renders = threads * repeats
+        assert after["misses"] - before["misses"] == 2 * renders
+        assert after["hits"] - before["hits"] == renders
 
     def test_estimate_and_batch_share_valid_json(self, state, recipes):
         body = json.loads(
@@ -154,18 +190,3 @@ class TestMetricsCachesSection:
             }
         # caches.response is the one place the response cache reports.
         assert "response_cache" not in state.metrics_snapshot()
-
-    def test_fragment_cache_cap_is_configurable(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(port=0, fragment_cache_cap=0)
-        small = ServiceState(ServiceConfig(port=0, fragment_cache_cap=3))
-        small.estimate(
-            codec.EstimateRequest(
-                ingredients=("1 tsp salt", "2 cups flour", "3 eggs", "butter"),
-                servings=1,
-            )
-        )
-        stats = small.caches_snapshot()["fragment"]
-        assert stats["cap"] == 3
-        assert stats["size"] <= 3
-        assert stats["evictions"] >= 1

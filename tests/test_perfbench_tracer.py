@@ -40,9 +40,12 @@ def _layers():
 
 
 def _service_layers():
-    from repro.service import codec
+    from repro.service import codec, state
+    from repro.service.state import ServiceState
 
     return [
+        (state, "snapshot_digest"),
+        (ServiceState, "estimate"),
         (codec, "dumps_ingredient_fragment"),
         (codec, "assemble_recipe_estimate_bytes"),
     ]
