@@ -85,6 +85,9 @@ def test_lemmatizer_vs_stemmer():
     lemmas = [lemmatize(w) for w in vocabulary]
     stems = [aggressive_stem(w) for w in vocabulary]
     assert lemmas == ["berry", "cherry", "tomato", "apple", "slice"]
-    # The stemmer corrupts forms the USDA descriptions actually use.
-    assert "berri" in stems or "cherri" in stems
+    assert stems == ["berr", "cherr", "tomato", "appl", "slic"]
+    # The stemmer corrupts forms the USDA descriptions actually use;
+    # only "tomatoes" (a true "-es" plural) survives.
+    corrupted = [stem for stem, lemma in zip(stems, lemmas) if stem != lemma]
+    assert corrupted == ["berr", "cherr", "appl", "slic"]
     assert all(lemma.isalpha() for lemma in lemmas)

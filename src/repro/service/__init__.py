@@ -11,11 +11,9 @@ and pipelining, single-send responses) while estimation runs on a
 small worker pool, all fronted by a warm shared
 :class:`~repro.core.estimator.NutritionEstimator`.  ``serve --procs
 N`` pre-forks N such processes onto one port via ``SO_REUSEPORT``
-with supervised respawn and coordinated graceful drain.  The seed
-threaded ``http.server`` implementation survives as
-:class:`~repro.service.threading_server.ThreadingNutritionService`,
-the byte-parity oracle for the server matrix in
-``tests/test_service_http.py``.
+with supervised respawn and coordinated graceful drain.  The wire
+format (status lines, header order, error envelopes) is pinned by the
+recorded golden responses in ``tests/golden/server_matrix.json``.
 
 Endpoints (full schemas in ``docs/api.md``)::
 
@@ -53,8 +51,6 @@ Modules:
   single-send response rendering,
 * :mod:`repro.service.prefork`  — the ``--procs N`` supervisor
   (``SO_REUSEPORT`` workers, respawn, coordinated drain),
-* :mod:`repro.service.threading_server` — the seed threaded server,
-  kept as the byte-parity oracle,
 * :mod:`repro.service.metrics`  — the ``/metrics`` registry,
 * :mod:`repro.service.errors`   — the typed error hierarchy.
 
@@ -71,11 +67,9 @@ or from the command line: ``python -m repro serve --port 8080``.
 from repro.service.errors import ServiceError, ValidationError
 from repro.service.server import NutritionService, serve
 from repro.service.state import ServiceConfig, ServiceState
-from repro.service.threading_server import ThreadingNutritionService
 
 __all__ = [
     "NutritionService",
-    "ThreadingNutritionService",
     "ServiceConfig",
     "ServiceState",
     "ServiceError",

@@ -361,30 +361,6 @@ def encode_ingredient_estimate(estimate: IngredientEstimate) -> dict:
     }
 
 
-def _recipe_head(estimate: RecipeEstimate) -> dict:
-    """Recipe-level fields, in response key order, sans ingredients.
-
-    Shared by :func:`encode_recipe_estimate` and the fragment
-    assembler so the two render paths cannot drift.
-    """
-    return {
-        "servings": estimate.servings,
-        "total": dict(estimate.total.values),
-        "per_serving": dict(estimate.per_serving.values),
-        "fraction_fully_mapped": estimate.fraction_fully_mapped,
-        "fraction_name_mapped": estimate.fraction_name_mapped,
-    }
-
-
-def encode_recipe_estimate(estimate: RecipeEstimate) -> dict:
-    """A recipe-level aggregate (the ``/v1/estimate`` response body)."""
-    body = _recipe_head(estimate)
-    body["ingredients"] = [
-        encode_ingredient_estimate(item) for item in estimate.ingredients
-    ]
-    return body
-
-
 # ----------------------------------------------------------------------
 # fragment assembly
 
@@ -406,17 +382,25 @@ def assemble_recipe_estimate_bytes(
 ) -> bytes:
     """Splice pre-serialized ingredient fragments into a recipe body.
 
-    Byte-identical to ``dumps_body(encode_recipe_estimate(estimate))``
-    by construction: with ``separators=(",", ":")`` the dump of a
-    composite object is exactly the concatenation of the dumps of its
-    parts, so dropping the head's closing brace and appending the
-    ``ingredients`` array from the rendered fragments reproduces the
-    monolithic serialization (``tests/test_fragment_cache.py`` pins
-    the equality).  *fragments* must be the recipe's ingredients in
-    order.
+    The ``/v1/estimate`` response body: the recipe-level fields in
+    response key order, then ``ingredients``.  With
+    ``separators=(",", ":")`` the dump of a composite object is exactly
+    the concatenation of the dumps of its parts, so dropping the head's
+    closing brace and appending the ``ingredients`` array from the
+    rendered fragments equals a monolithic dump of the whole dict
+    (``tests/test_fragment_cache.py`` pins the equality against the
+    dict built by ``tests/references.py::encode_recipe_estimate``).
+    *fragments* must be the recipe's ingredients in order.
     """
     head = json.dumps(
-        _recipe_head(estimate), separators=(",", ":")
+        {
+            "servings": estimate.servings,
+            "total": dict(estimate.total.values),
+            "per_serving": dict(estimate.per_serving.values),
+            "fraction_fully_mapped": estimate.fraction_fully_mapped,
+            "fraction_name_mapped": estimate.fraction_name_mapped,
+        },
+        separators=(",", ":"),
     ).encode("utf-8")
     return b"".join(
         (head[:-1], b',"ingredients":[', b",".join(fragments), b"]}")

@@ -12,8 +12,8 @@ picks up at the following byte.
 Protocol failures raise the service's *typed* errors so the server
 answers them with the same JSON envelopes the rest of the stack uses:
 
-* malformed request line / header, unsupported transfer coding,
-  non-numeric or negative ``Content-Length`` →
+* malformed request line / header, unsupported transfer coding, a
+  ``Content-Length`` that is not ``1*DIGIT`` or two that disagree →
   :class:`~repro.service.errors.ValidationError` (HTTP 400),
 * headers growing past :data:`MAX_HEADER_BYTES` →
   :class:`~repro.service.errors.HeadersTooLargeError` (HTTP 431),
@@ -22,17 +22,16 @@ answers them with the same JSON envelopes the rest of the stack uses:
   raised from the *headers* alone, before any body byte is read,
   so an attacker cannot make the server buffer the oversized body.
 
-Error messages for the cases the seed threading server could hit
-(``Content-Length`` and 413) are kept word-for-word identical to it:
-the server-matrix parity suite compares envelopes byte-for-byte.
+The ``Content-Length`` and 413 error messages are part of the wire
+contract: ``tests/golden/server_matrix.json`` pins their envelopes
+byte for byte.
 
 :func:`render_response` is the other half: status line, headers and
 body concatenated into **one** bytes object so the server ships every
-response in a single ``send`` (the seed server learned the hard way
-that two segments cost ~40 ms to Nagle + delayed ACK).  Header names,
-order and formatting mirror ``BaseHTTPRequestHandler`` (``Server``
-then ``Date`` first) so responses are header-identical to the seed
-threading server.
+response in a single ``send`` (a body sent as a second segment stalls
+keep-alive clients ~40 ms on Nagle + delayed ACK).  Header names,
+order and formatting (``Server`` then ``Date`` first) are fixed by the
+same golden responses.
 """
 
 from __future__ import annotations
@@ -79,9 +78,8 @@ class RequestParser:
     """Incremental parser for a stream of HTTP/1.1 requests.
 
     One instance per connection.  Raising leaves the parser unusable
-    by design: every protocol error closes the connection (mirroring
-    the seed server's ``close_connection`` behaviour), so there is
-    nothing to resynchronize.
+    by design: every protocol error closes the connection, so there
+    is nothing to resynchronize.
     """
 
     __slots__ = (
@@ -177,26 +175,19 @@ class RequestParser:
         headers = self._parse_headers(lines[1:])
 
         if "chunked" in headers.get("transfer-encoding", "").lower():
-            # The seed server would silently treat a chunked body as
-            # empty and desynchronize the connection; reject instead.
+            # Without a chunked decoder the body would be read as
+            # empty and the connection would desynchronize; reject.
             raise ValidationError(
                 "chunked transfer encoding is not supported",
                 field="Transfer-Encoding",
             )
 
-        # Content-Length semantics mirror the seed server byte for
-        # byte: missing/empty -> "0", non-numeric or negative -> the
-        # exact 400 envelope it produced.
+        # Missing/empty Content-Length means no body; anything but
+        # 1*DIGIT gets the 400 envelope pinned by the golden responses.
         raw_length = headers.get("content-length") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise ValidationError(
-                f"invalid Content-Length header: {raw_length!r}",
-                field="Content-Length",
-            )
+        length = _content_length(raw_length)
+        if length is None:
+            raise _invalid_content_length(raw_length)
         if length > self.max_body_bytes:
             raise PayloadTooLargeError(
                 f"request body of {length} bytes exceeds the "
@@ -245,17 +236,44 @@ class RequestParser:
             name, sep, value = line.partition(":")
             if not sep or not name or name != name.strip():
                 raise ValidationError(f"malformed header line: {line!r}")
-            headers[name.lower()] = value.strip()
+            key = name.lower()
+            value = value.strip()
+            # Two framings for one body would let the last one win
+            # silently; RFC 9110 §8.6 requires rejecting a conflict.
+            if key == "content-length" and headers.get(key, value) != value:
+                raise _invalid_content_length(f"{headers[key]}, {value}")
+            headers[key] = value
         return headers
+
+
+def _content_length(raw: str) -> int | None:
+    """*raw* as ``1*DIGIT`` (RFC 9110 §8.6), else ``None``.
+
+    Bare ``int()`` would also accept ``+10``, ``1_0`` and non-ASCII
+    digits.
+    """
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    try:
+        return int(raw)
+    except ValueError:  # more digits than int() converts from a str
+        return None
+
+
+def _invalid_content_length(raw: str) -> ValidationError:
+    return ValidationError(
+        f"invalid Content-Length header: {raw!r}",
+        field="Content-Length",
+    )
 
 
 # ----------------------------------------------------------------------
 # response rendering
 
 
-# Matches BaseHTTPRequestHandler.version_string() — the seed server
-# appended the stdlib's "Python/x.y.z" suffix, and header parity with
-# it is asserted byte-for-byte.
+# "repro-serve/<version> Python/<x.y.z>", as pinned by
+# tests/golden/server_matrix.json (the test rebuilds it for the
+# interpreter it runs on).
 _SERVER_HEADER = (
     f"Server: repro-serve/{__version__} "
     f"Python/{sys.version.split()[0]}\r\n".encode()
@@ -291,10 +309,10 @@ def render_response(
 ) -> bytes:
     """Status line + headers + body as one single-send bytes object.
 
-    Header names and order mirror the seed threading server
-    (``BaseHTTPRequestHandler``): Server, Date, Content-Type,
-    Content-Length, then ``X-Cache`` and any error-carried extras —
-    the parity suite compares full header lists (minus ``Date``).
+    Header order: Server, Date, Content-Type, Content-Length, then
+    ``X-Cache`` and any error-carried extras.  The contract is
+    ``tests/golden/server_matrix.json``, compared byte for byte
+    (``Date`` aside).
     """
     status_line = _STATUS_LINES.get(status)
     if status_line is None:  # pragma: no cover - unknown status code

@@ -14,21 +14,20 @@ keep-alive connections cost ten thousand parser buffers, not ten
 thousand OS threads, and a cache hit never waits behind a thread
 scheduler.
 
-The wire contract is pinned by the seed threading server
-(:mod:`repro.service.threading_server`): every response — success and
-error envelope alike, header order included — must be byte-identical,
-and the server-matrix parity suite in ``tests/test_service_http.py``
-enforces it.  The typed handlers, codec, :class:`ServiceState`,
-admission/deadline/breaker resilience and ``/metrics`` are untouched;
-only the socket layer changed.
+The wire contract is pinned by recorded golden responses
+(``tests/golden/server_matrix.json``): every response — success and
+error envelope alike, header order included — must match them byte
+for byte (``Date`` aside), and the server matrix in
+``tests/test_service_http.py`` replays them against this server
+in-process and under ``--procs 1`` and ``--procs 2``.
 
-Adversarial clients are bounded by two config knobs the threading
-server never had: ``io_timeout_s`` closes connections that start a
-request but stop making progress (slowloris), ``idle_timeout_s`` reaps
-keep-alive connections parked between requests.  Connection-level
-accounting lands in ``/metrics`` under ``connections``.
+Adversarial clients are bounded by two config knobs:
+``io_timeout_s`` closes connections that start a request but stop
+making progress (slowloris), ``idle_timeout_s`` reaps keep-alive
+connections parked between requests.  Connection-level accounting
+lands in ``/metrics`` under ``connections``.
 
-Lifecycle matches the seed server: blocking :meth:`serve_forever`,
+Lifecycle: blocking :meth:`serve_forever`,
 background :meth:`start`, context manager, and a graceful
 :meth:`shutdown` (readyz flips 503 → accept stops → in-flight requests
 drain and their responses flush → loop joins).  ``serve()`` is the CLI
@@ -75,10 +74,11 @@ _SCAN_INTERVAL_S = 0.2
 def _predispatch_body(exc: ServiceError) -> bytes:
     """Envelope bytes for errors raised *before* dispatch.
 
-    The seed threading server serialized these with default
-    ``json.dumps`` separators (spaced) while dispatch-path errors use
-    the compact codec — the parity suite pins both formats, so the
-    distinction is load-bearing.
+    These use default ``json.dumps`` separators (spaced) while
+    dispatch-path errors use the compact codec.  Both formats are part
+    of the wire contract in ``tests/golden/server_matrix.json`` (the
+    ``invalid_json``, Content-Length and 413 cases), so the distinction
+    is load-bearing.
     """
     return json.dumps(exc.to_body()).encode()
 
@@ -123,8 +123,8 @@ class _WorkerPool:
 
     Deliberately not ``ThreadPoolExecutor``: its threads are
     non-daemon, so one estimation stuck past the drain timeout would
-    hold the whole process open at exit.  Daemon threads preserve the
-    seed server's abandon-after-drain-timeout semantics.  The pool is
+    hold the whole process open at exit.  Daemon threads give
+    abandon-after-drain-timeout semantics instead.  The pool is
     sized past admission capacity (``max_concurrent + max_queue``) so
     shedding stays *immediate*: every overload request must reach the
     admission controller concurrently to be told 503 now, rather than
@@ -475,7 +475,7 @@ class NutritionService:
                 try:
                     payload = json.loads(request.body)
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    # Same envelope + keep-alive as the seed server.
+                    # 400 envelope; the connection stays alive.
                     err = InvalidJSONError(
                         f"request body is not valid JSON: {exc}"
                     )

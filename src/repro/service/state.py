@@ -205,7 +205,7 @@ class ServiceState:
         self.config = config
         self.metrics = ServiceMetrics()
         # Connection-level counters, populated by the event-loop
-        # server (stay zero under the legacy threading server).
+        # server (stay zero for in-process use without a socket).
         self.connections = ConnectionStats()
         # The warm shared estimator — the service's whole reason to
         # exist.  Built eagerly so the first request is already fast.

@@ -12,6 +12,10 @@ which compute the same tables the obvious way:
   :meth:`NutritionEstimator._estimate_line`, one line at a time, with
   the same fault-injection and dead-letter behaviour as the chunked
   pipeline.
+
+It also holds the monolithic ``/v1/estimate`` body builder
+(:func:`encode_recipe_estimate`) that the service's fragment splicing
+must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.core.estimator import (
     quarantined_estimate,
 )
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
+from repro.service.codec import encode_ingredient_estimate
 from repro.units.fallback import UnitFallback
 
 
@@ -133,3 +138,21 @@ def per_line_corpus(recipes):
         text for recipe in recipes for text in recipe.ingredient_texts
     )
     return _assemble(per_line_table(NutritionEstimator(), counts), recipes)
+
+
+def encode_recipe_estimate(estimate) -> dict:
+    """A recipe estimate as the ``/v1/estimate`` body dict, built whole.
+
+    ``json.dumps(..., separators=(",", ":"))`` of this dict is what
+    ``codec.assemble_recipe_estimate_bytes`` splices from fragments.
+    """
+    return {
+        "servings": estimate.servings,
+        "total": dict(estimate.total.values),
+        "per_serving": dict(estimate.per_serving.values),
+        "fraction_fully_mapped": estimate.fraction_fully_mapped,
+        "fraction_name_mapped": estimate.fraction_name_mapped,
+        "ingredients": [
+            encode_ingredient_estimate(item) for item in estimate.ingredients
+        ],
+    }

@@ -1,8 +1,9 @@
 """Shared plumbing for the serving-tier test suites.
 
 Raw-socket HTTP helpers (the parity and protocol suites compare exact
-bytes, so ``http.client``'s parsing would hide what we assert on) and
-a subprocess runner for ``repro serve`` — the only honest way to test
+bytes, so ``http.client``'s parsing would hide what we assert on), the
+server-matrix request cases, and a subprocess runner for
+``repro serve`` — the only honest way to test
 ``--procs N``, SIGTERM drains and SO_REUSEPORT spread is against real
 processes.
 """
@@ -93,6 +94,62 @@ def build_request(
     for name, value in (headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+#: The server matrix (``tests/test_service_http.py``): every endpoint
+#: and error-envelope case, as deterministic raw request bytes.  Each
+#: server sees each case exactly once, in this order, so cache
+#: behaviour (all misses) is identical everywhere.  ``full`` cases
+#: compare status line, headers (minus Date) and exact body bytes
+#: against ``golden/server_matrix.json``; ``status`` cases have
+#: process-varying bodies (uptime, pid) and check status 200 and
+#: Content-Type only.
+MATRIX_CASES = [
+    ("healthz", build_request("GET", "/healthz"), "status"),
+    ("readyz", build_request("GET", "/readyz"), "status"),
+    ("metrics", build_request("GET", "/metrics"), "status"),
+    ("estimate", build_request("POST", "/v1/estimate", {
+        "ingredients": ["2 cups all-purpose flour", "1 tsp salt",
+                        "3 cloves garlic , minced"],
+        "servings": 4,
+    }), "full"),
+    ("estimate_batch", build_request("POST", "/v1/estimate_batch", {
+        "recipes": [
+            {"ingredients": ["1 cup white sugar"], "servings": 2},
+            {"ingredients": ["2 teaspoons garam masala",
+                             "1 small onion , finely chopped"],
+             "servings": 1},
+        ],
+    }), "full"),
+    ("match", build_request("POST", "/v1/match", {
+        "name": "red lentils", "top": 3,
+    }), "full"),
+    ("parse", build_request("POST", "/v1/parse", {
+        "text": "1 small onion , finely chopped",
+    }), "full"),
+    ("explain", build_request("POST", "/v1/explain", {
+        "text": "1 head butter cup",
+        "context": ["2 tablespoons butter", "1 tablespoon butter"],
+    }), "full"),
+    ("invalid_json", build_request(
+        "POST", "/v1/estimate", body=b"this is not json",
+    ), "full"),
+    ("validation_error", build_request("POST", "/v1/estimate", {
+        "ingredients": [], "servings": 2,
+    }), "full"),
+    ("not_found", build_request("GET", "/v1/unknown"), "full"),
+    ("method_not_allowed", build_request("GET", "/v1/estimate"), "full"),
+    ("bad_content_length", build_request(
+        "POST", "/v1/parse", headers={"Content-Length": "abc"},
+    ), "full"),
+    ("negative_content_length", build_request(
+        "POST", "/v1/parse", headers={"Content-Length": "-1"},
+    ), "full"),
+    ("payload_too_large", build_request(
+        "POST", "/v1/estimate",
+        headers={"Content-Length": str((1 << 20) + 1)},
+    ), "full"),
+]
 
 
 def split_response(raw: bytes) -> tuple[int, str, list[str], bytes]:

@@ -23,6 +23,7 @@ import threading
 
 import pytest
 
+from references import encode_recipe_estimate
 from repro.core.estimator import NutritionEstimator
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.service import codec
@@ -73,7 +74,7 @@ class TestAssemblyByteExactness:
             recipe_estimate, fragments
         )
         monolithic = json.dumps(
-            codec.encode_recipe_estimate(recipe_estimate),
+            encode_recipe_estimate(recipe_estimate),
             separators=(",", ":"),
         ).encode("utf-8")
         assert assembled == monolithic
@@ -91,7 +92,7 @@ class TestAssemblyByteExactness:
             {
                 "count": 2,
                 "recipes": [
-                    codec.encode_recipe_estimate(recipe_estimate)
+                    encode_recipe_estimate(recipe_estimate)
                 ] * 2,
             },
             separators=(",", ":"),

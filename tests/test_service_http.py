@@ -5,33 +5,31 @@ port and exercised over a socket with ``http.client`` — the same path
 external consumers take.  The headline assertion is the service parity
 guarantee: ``/v1/estimate`` answers with **byte-identical** profiles
 to the in-process estimator's corpus protocol for the same recipe,
-across a generated corpus (ISSUE 3 acceptance criterion).
+across a generated corpus.
 
-:class:`TestServerMatrix` extends that guarantee across server
-implementations (ISSUE 8): every endpoint and every error-envelope
-case is replayed against the seed threading server, the in-process
-event-loop server, and real ``repro serve`` subprocesses at
-``--procs 1`` and ``--procs 2``, asserting byte-identical bodies and
-status/header parity (``Date`` excluded) — the threading server is
-the recorded wire contract the event loop must reproduce.
+:class:`TestServerMatrix` pins the wire contract: every endpoint and
+every error-envelope case is replayed against the in-process
+event-loop server and real ``repro serve`` subprocesses at
+``--procs 1`` and ``--procs 2``, and each ``full`` response must equal
+the recorded golden in ``golden/server_matrix.json`` byte for byte
+(status line, headers minus ``Date``, body).  A deliberate wire change
+edits that file by hand.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import platform
+from pathlib import Path
 
 import pytest
 
-from repro import NutritionEstimator
-from repro.service import (
-    NutritionService,
-    ServiceConfig,
-    ThreadingNutritionService,
-)
+from repro import NutritionEstimator, __version__
+from repro.service import NutritionService, ServiceConfig
 from service_harness import (
+    MATRIX_CASES,
     ServeProcess,
-    build_request,
     raw_request,
     split_response,
 )
@@ -396,74 +394,46 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# the server matrix: threading seed vs event loop vs --procs subprocesses
-
-#: Every endpoint + error-envelope case, as deterministic raw request
-#: bytes.  Each server sees each case exactly once, in this order, so
-#: cache behaviour (all misses) is identical everywhere.  ``full``
-#: cases compare status line, headers (minus Date) and exact body
-#: bytes; ``status`` cases have process-varying bodies (uptime, pid)
-#: and compare status + Content-Type only.
-MATRIX_CASES = [
-    ("healthz", build_request("GET", "/healthz"), "status"),
-    ("readyz", build_request("GET", "/readyz"), "status"),
-    ("metrics", build_request("GET", "/metrics"), "status"),
-    ("estimate", build_request("POST", "/v1/estimate", {
-        "ingredients": ["2 cups all-purpose flour", "1 tsp salt",
-                        "3 cloves garlic , minced"],
-        "servings": 4,
-    }), "full"),
-    ("estimate_batch", build_request("POST", "/v1/estimate_batch", {
-        "recipes": [
-            {"ingredients": ["1 cup white sugar"], "servings": 2},
-            {"ingredients": ["2 teaspoons garam masala",
-                             "1 small onion , finely chopped"],
-             "servings": 1},
-        ],
-    }), "full"),
-    ("match", build_request("POST", "/v1/match", {
-        "name": "red lentils", "top": 3,
-    }), "full"),
-    ("parse", build_request("POST", "/v1/parse", {
-        "text": "1 small onion , finely chopped",
-    }), "full"),
-    ("explain", build_request("POST", "/v1/explain", {
-        "text": "1 head butter cup",
-        "context": ["2 tablespoons butter", "1 tablespoon butter"],
-    }), "full"),
-    ("invalid_json", build_request(
-        "POST", "/v1/estimate", body=b"this is not json",
-    ), "full"),
-    ("validation_error", build_request("POST", "/v1/estimate", {
-        "ingredients": [], "servings": 2,
-    }), "full"),
-    ("not_found", build_request("GET", "/v1/unknown"), "full"),
-    ("method_not_allowed", build_request("GET", "/v1/estimate"), "full"),
-    ("bad_content_length", build_request(
-        "POST", "/v1/parse", headers={"Content-Length": "abc"},
-    ), "full"),
-    ("negative_content_length", build_request(
-        "POST", "/v1/parse", headers={"Content-Length": "-1"},
-    ), "full"),
-    ("payload_too_large", build_request(
-        "POST", "/v1/estimate",
-        headers={"Content-Length": str((1 << 20) + 1)},
-    ), "full"),
-]
+# the server matrix: recorded golden responses vs event loop and
+# --procs subprocesses (cases: service_harness.MATRIX_CASES)
 
 MATRIX_SERVERS = ("event-loop", "procs-1", "procs-2")
+
+#: Case name -> {"status_line", "headers", "body"} for every ``full``
+#: case, recorded from the original thread-per-connection server.
+#: ``headers`` omits ``Date`` and ``Server``; the ``Server`` line names
+#: the running interpreter, so :func:`golden_response` rebuilds it.
+GOLDEN_PATH = Path(__file__).parent / "golden" / "server_matrix.json"
+SERVER_LINE = (
+    f"Server: repro-serve/{__version__} "
+    f"Python/{platform.python_version()}"
+)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="ascii"))
+
+
+def golden_response(entry: dict) -> tuple[int, str, list[str], bytes]:
+    """A golden entry in :func:`split_response` form."""
+    status_line = entry["status_line"]
+    return (
+        int(status_line.split()[1]),
+        status_line,
+        [SERVER_LINE, *entry["headers"]],
+        entry["body"].encode("ascii"),
+    )
 
 
 @pytest.fixture(scope="module")
 def matrix_responses(tmp_path_factory):
     """Every case against every server, one fresh connection per case."""
     tmp = tmp_path_factory.mktemp("server-matrix")
-    with ThreadingNutritionService(ServiceConfig(port=0)) as seed, \
-            NutritionService(ServiceConfig(port=0)) as loop, \
+    with NutritionService(ServiceConfig(port=0)) as loop, \
             ServeProcess(tmp, procs=1) as one, \
             ServeProcess(tmp, procs=2) as two:
         targets = {
-            "threading-seed": (seed.host, seed.port),
             "event-loop": (loop.host, loop.port),
             "procs-1": (one.host, one.port),
             "procs-2": (two.host, two.port),
@@ -478,28 +448,35 @@ def matrix_responses(tmp_path_factory):
 
 
 class TestServerMatrix:
-    """Byte parity across threading vs event-loop vs multi-proc."""
+    """Byte parity with the golden responses: event loop and multi-proc.
+
+    The goldens were recorded from the original thread-per-connection
+    server, so ``test_parity_with_seed_server`` keeps its name.
+    """
 
     @pytest.mark.parametrize(
         "case_name,mode",
         [(name, mode) for name, _req, mode in MATRIX_CASES],
     )
-    def test_parity_with_seed_server(self, matrix_responses, case_name, mode):
-        status, status_line, headers, body = (
-            matrix_responses["threading-seed"][case_name]
-        )
+    def test_parity_with_seed_server(
+        self, matrix_responses, golden, case_name, mode
+    ):
         for server in MATRIX_SERVERS:
             got = matrix_responses[server][case_name]
             if mode == "full":
-                assert got == (status, status_line, headers, body), (
-                    f"{server} diverges from threading seed on "
-                    f"{case_name}"
+                assert got == golden_response(golden[case_name]), (
+                    f"{server} diverges from the golden on {case_name}"
                 )
             else:
-                assert got[0] == status, (server, case_name)
+                assert got[0] == 200, (server, case_name)
                 assert "Content-Type: application/json" in got[2], (
                     server, case_name,
                 )
+
+    def test_golden_has_one_entry_per_full_case(self, golden):
+        full = [name for name, _req, mode in MATRIX_CASES if mode == "full"]
+        assert sorted(golden) == sorted(full)
+        assert len(full) == len(set(full))
 
     def test_matrix_covers_success_and_error_envelopes(self):
         statuses = set()

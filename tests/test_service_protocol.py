@@ -250,6 +250,49 @@ class TestOversizedAndMalformed:
         assert metrics(service)["connections"]["protocol_errors"] > before
         assert_no_leaked_connections(service)
 
+    @pytest.mark.parametrize("lengths,shown", [
+        (["1_0"], "'1_0'"),
+        (["+10"], "'+10'"),
+        (["\N{SUPERSCRIPT TWO}"], "'\N{SUPERSCRIPT TWO}'"),
+        (["10", "12"], "'10, 12'"),
+    ])
+    def test_content_length_must_be_one_unambiguous_digit_run(
+        self, service, lengths, shown
+    ):
+        head = "POST /v1/parse HTTP/1.1\r\nHost: t\r\n" + "".join(
+            f"Content-Length: {value}\r\n" for value in lengths
+        )
+        sock = socket.create_connection(
+            (service.host, service.port), timeout=10
+        )
+        sock.sendall((head + "\r\n").encode("latin-1"))
+        response = recv_response(sock)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        body = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert body["error"] == {
+            "code": "invalid_request",
+            "message": f"invalid Content-Length header: {shown}",
+            "field": "Content-Length",
+        }
+        sock.settimeout(5)
+        assert sock.recv(1024) == b""  # server closed
+        sock.close()
+        assert_no_leaked_connections(service)
+
+    def test_repeated_equal_content_length_is_accepted(self, service):
+        body = b'{"text": "1 tsp salt"}'
+        head = (
+            "POST /v1/parse HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        raw = raw_request(
+            service.host, service.port, head.encode() + body
+        )
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(raw.partition(b"\r\n\r\n")[2])["name"] == "salt"
+        assert_no_leaked_connections(service)
+
     def test_oversized_headers_get_431(self, service):
         sock = socket.create_connection(
             (service.host, service.port), timeout=10
