@@ -5,23 +5,30 @@ walks every stage — tokenize, NER tag, entity grouping, description
 match, unit chain — once per line.  This module reorganizes the parse
 *chunk-at-a-time*:
 
-1. **Parse stage** — distinct uncached lines are tokenized together
-   (ASCII fast path), tagged with the tagger's ``predict_batch`` when
-   it has one (the perceptron runs one chunk-wide emission gather, the
-   rule tagger memoizes its pure per-token rules), and grouped through
-   the same :func:`repro.core.estimator.group_entities`.
+1. **Parse stage** — the chunk's distinct lines are tokenized
+   together (ASCII fast path), tagged with the tagger's
+   ``predict_batch`` when it has one (the perceptron runs one
+   chunk-wide emission gather, the rule tagger memoizes its pure
+   per-token rules), and grouped through the same
+   :func:`repro.core.estimator.group_entities`.
 2. **Tail stage** — every line then runs the unmodified
    :meth:`NutritionEstimator._estimate_from_parsed` (description
-   match, quantity parse, unit chain, profile), hitting the parse
-   cache the batch stage warmed.  Matching stays per line: the
-   matcher's memo is filled in first-occurrence order, as in the
-   per-line loop.
+   match, quantity parse, unit chain, profile) on its parse from
+   stage 1.  Matching stays per line: the matcher's memo is filled in
+   first-occurrence order, as in the per-line loop.
 
-**Parity contract.**  Stage 1 only *pre-computes into the parse
-cache* in the same first-occurrence insertion order the per-line loop
-would use, and stage 2 is literally the per-line code — so estimates,
-reason codes, traces, cache eviction behaviour and per-line exception
-surfacing are bit-identical to the reference.
+Stage 1 neither reads nor writes the estimator's per-line parse memo
+(:meth:`NutritionEstimator._parse_cached`).  Callers hand this module
+distinct lines — the engine collapses duplicates into a line table,
+and the service answers repeat lines from its line-outcome memo — so
+a cross-chunk parse memo would hit almost never while holding every
+parse it saw.
+
+**Parity contract.**  Stage 1 computes the same parse the per-line
+path computes (tokenizing is pure, tagging and grouping are the same
+code), and stage 2 is literally the per-line code — so estimates,
+reason codes, traces and per-line exception surfacing are
+bit-identical to the reference.
 ``tests/test_columnar_parity.py`` sweeps this differentially across
 all matcher configs and chunk sizes.
 
@@ -98,24 +105,18 @@ class ColumnarPipeline:
                 except Exception as exc:
                     outcomes[i] = LineOutcome(error=exc)
 
-        # Stage 1: batched parse of distinct lines the cache misses.
-        parse_cache = estimator._parse_cache
+        # Stage 1: batched parse of the chunk's distinct lines.
         parsed: dict[str, ParsedIngredient | LineOutcome] = {}
         pending: list[str] = []
         for i, text in enumerate(texts):
             if outcomes[i] is not None or text in parsed:
                 continue
-            hit = parse_cache.get(text)
-            if hit is not None:
-                parsed[text] = hit
-            else:
-                parsed[text] = None  # placeholder keeps order/dedup
-                pending.append(text)
+            parsed[text] = None  # placeholder keeps order/dedup
+            pending.append(text)
         if pending:
             self._parse_batch(pending, parsed)
 
-        # Stage 2: the per-line tail (match, unit chain, profile) over
-        # the warmed parse cache.
+        # Stage 2: the per-line tail (match, unit chain, profile).
         memo = self._quantity_memo
         for i, text in enumerate(texts):
             if outcomes[i] is not None:
@@ -141,10 +142,7 @@ class ColumnarPipeline:
     ) -> None:
         """Tokenize + tag + group *pending* texts, chunk-at-a-time.
 
-        Results (or per-line failures) land in *parsed*; successful
-        parses also enter the estimator's parse cache in pending
-        order — the same first-occurrence insertion order the
-        per-line loop produces.
+        Results (or per-line failures) land in *parsed*.
         """
         estimator = self._estimator
         token_lists: list[list[str] | None] = []
@@ -188,4 +186,3 @@ class ColumnarPipeline:
                 parsed[text] = LineOutcome(error=exc)
                 continue
             parsed[text] = result
-            estimator._parse_cache[text] = result

@@ -251,11 +251,14 @@ class NutritionEstimator:
         self._matcher = matcher
         self._fallback = fallback or UnitFallback()
         self._resolvers: dict[str, UnitResolver] = dict(resolvers or {})
-        # text -> ParsedIngredient memo: tokenization + NER tagging is
-        # deterministic per tagger, and real corpora repeat lines
-        # heavily ("1 teaspoon salt"), so batch paths pay the parse
-        # cost once per distinct line.  Size-capped (FIFO) so
-        # long-running processes cannot grow without limit.
+        # text -> ParsedIngredient memo for the per-line API
+        # (estimate_ingredient / estimate_recipe): tokenization + NER
+        # tagging is deterministic per tagger, and recipes repeat lines
+        # ("1 teaspoon salt").  The chunked corpus path does not use
+        # it — its callers already collapse lines to distinct ones, and
+        # the service keeps whole line outcomes in its own memo.
+        # Size-capped (FIFO) so long-running processes cannot grow
+        # without limit.
         self._parse_cache: dict[str, ParsedIngredient] = BoundedCache(cache_cap)
         self._columnar = None  # lazy ColumnarPipeline (repro.core.columnar)
 
@@ -367,7 +370,10 @@ class NutritionEstimator:
         return parsed
 
     def parse_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters for the parse memo (``/metrics``)."""
+        """Hit/miss/eviction counters for the parse memo (``/metrics``).
+
+        Only the per-line API probes it; corpus passes leave it at 0.
+        """
         return self._parse_cache.stats()
 
     def _estimate_line(
@@ -548,8 +554,11 @@ class NutritionEstimator:
         observations weighted by how often the line occurs.  Because no
         statistics are read, each line's outcome — and therefore the
         observation table — is independent of processing order and of
-        how the corpus is sharded across workers.  The chunk runs
-        through the batched pipeline (:mod:`repro.core.columnar`).
+        how the corpus is sharded across workers, and a line's pass-1
+        estimate is a pure function of (database, tagger, text): the
+        service memoizes it across requests on that basis
+        (:mod:`repro.service.state`).  The chunk runs through the
+        batched pipeline (:mod:`repro.core.columnar`).
 
         With *quarantine*, a line whose estimation raises is diverted
         to a dead-letter record (numbered ``ordinal_base + i`` in the
@@ -640,11 +649,13 @@ class NutritionEstimator:
 
         Collect, freeze the observations into one :class:`UnitFallback`,
         re-estimate the name-only lines against it, and return
-        ``(text -> final estimate, frozen snapshot)``.  The single
-        canonical implementation — :meth:`corpus_estimate_table`,
-        :meth:`estimate_corpus`, the sharded engine's in-process
-        (``workers=1``) path and the service all call it, so the
-        parity-critical sequence lives in exactly one place.  The
+        ``(text -> final estimate, frozen snapshot)``.  The canonical
+        implementation — :meth:`corpus_estimate_table`,
+        :meth:`estimate_corpus` and the sharded engine's in-process
+        (``workers=1``) path call it.  The service runs the same
+        sequence over its memoized pass-1 records
+        (``ServiceState._memo_protocol``), and
+        ``tests/test_line_memo.py`` compares the two.  The
         estimator's own incremental table is neither read nor written.
         *quarantine* enables poison-line diversion in both passes (see
         :meth:`corpus_collect_estimates`).

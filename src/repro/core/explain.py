@@ -141,6 +141,7 @@ def explain_line(
     *,
     context: Iterable[str] = (),
     k: int = 5,
+    statistics: UnitFallback | None = None,
 ) -> LineExplanation:
     """Explain one ingredient line end to end.
 
@@ -148,7 +149,9 @@ def explain_line(
     as the collect pass of the two-phase protocol would (weighted by
     multiplicity); the estimator's own fallback table is never read
     or written, so explaining cannot perturb — or be perturbed by —
-    concurrent estimation on the same estimator.
+    concurrent estimation on the same estimator.  A caller that
+    already holds the context's pass-1 outcomes passes the table they
+    make as *statistics*, and the context is then only counted.
     """
     context = tuple(context)
     parsed = estimator.parse(text)
@@ -163,12 +166,13 @@ def explain_line(
             k=k,
         )
 
-    statistics = UnitFallback(estimator.fallback.max_grams)
-    if context:
-        _, snapshot = estimator.corpus_collect_estimates(
-            Counter(context).items()
-        )
-        statistics.merge(snapshot)
+    if statistics is None:
+        statistics = UnitFallback(estimator.fallback.max_grams)
+        if context:
+            _, snapshot = estimator.corpus_collect_estimates(
+                Counter(context).items()
+            )
+            statistics.merge(snapshot)
 
     recorder = _StageRecorder()
     estimate = estimator._estimate_from_parsed(

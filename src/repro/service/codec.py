@@ -365,12 +365,41 @@ def encode_ingredient_estimate(estimate: IngredientEstimate) -> dict:
 # fragment assembly
 
 
+@dataclass(frozen=True, slots=True)
+class SplicedBody:
+    """A response body kept as a shell plus shared fragment bytes.
+
+    ``shell`` is a rendered JSON object whose last member is an empty
+    array (it ends ``[]}``); ``fragments`` are that array's items,
+    already serialized.  :meth:`join` writes them into the array,
+    which by the concatenation argument of
+    :func:`assemble_recipe_estimate_bytes` equals rendering the whole
+    object at once.  The response cache keeps ``/v1/estimate`` bodies
+    in this form, so an entry references the fragment bytes the
+    service's line memo holds instead of a joined copy of them.
+    """
+
+    shell: bytes
+    fragments: tuple[bytes, ...]
+
+    def __len__(self) -> int:
+        """Length of the joined body."""
+        commas = max(len(self.fragments) - 1, 0)
+        return len(self.shell) + sum(map(len, self.fragments)) + commas
+
+    def join(self) -> bytes:
+        return b"".join(
+            (self.shell[:-2], b",".join(self.fragments), self.shell[-2:])
+        )
+
+
 def dumps_ingredient_fragment(estimate: IngredientEstimate) -> bytes:
     """One ingredient estimate as compact JSON bytes.
 
-    The unit the service renders once per distinct line of a request
-    and splices into every recipe that uses the line, instead of
-    re-running ``json.dumps`` per occurrence.
+    The unit the service splices into every recipe that uses the
+    line, instead of re-running ``json.dumps`` per occurrence.  A
+    pass-1 fragment is rendered once per process and kept in the line
+    memo; a line that pass 2 re-estimates is rendered per request.
     """
     return json.dumps(
         encode_ingredient_estimate(estimate), separators=(",", ":")
@@ -456,13 +485,16 @@ def encode_explanation(explanation: LineExplanation) -> dict:
     }
 
 
-def dumps_body(body: dict | bytes) -> bytes:
+def dumps_body(body: dict | bytes | SplicedBody) -> bytes:
     """Serialize a response body exactly as the server ships it.
 
     Bodies that were already assembled from rendered fragments (the
-    estimation endpoints return bytes) pass through untouched, so the
-    dispatch path is agnostic to which render path produced them.
+    estimation endpoints return bytes or a :class:`SplicedBody`) pass
+    through untouched or joined, so the dispatch path is agnostic to
+    which render path produced them.
     """
     if isinstance(body, bytes):
         return body
+    if isinstance(body, SplicedBody):
+        return body.join()
     return json.dumps(body, separators=(",", ":")).encode("utf-8")

@@ -11,10 +11,12 @@ generic 500 so tracebacks never leak to clients).
 
 Cacheable endpoints (the five ``POST /v1/*`` ones — ``/v1/explain``
 included, whose response is a pure function of its payload) are
-looked up in / stored to the response cache as **serialized bytes**:
-a hit skips validation-to-encoding entirely and the server writes the
-bytes straight to the socket.  ``/healthz``, ``/readyz`` and
-``/metrics`` are never cached.
+looked up in / stored to the response cache as **serialized bodies**
+(bytes, or for ``/v1/estimate`` a
+:class:`~repro.service.codec.SplicedBody` whose fragments the line
+memo shares): a hit skips validation-to-encoding entirely and the
+server writes the joined bytes straight to the socket.  ``/healthz``,
+``/readyz`` and ``/metrics`` are never cached.
 
 The same five POST endpoints are the **admitted** ones: they do real
 estimation work, so they pass through the
@@ -70,7 +72,10 @@ class Endpoint:
     """
 
     validate: Callable | None
-    invoke: Callable[[ServiceState, object, Deadline | None], dict]
+    invoke: Callable[
+        [ServiceState, object, Deadline | None],
+        dict | bytes | codec.SplicedBody,
+    ]
     cacheable: bool = False
 
 
@@ -238,13 +243,17 @@ def dispatch(
         deadline = Deadline(timeout_s) if timeout_s is not None else None
         if endpoint.cacheable:
             with state.admission.admitted(deadline):
-                body = codec.dumps_body(
-                    endpoint.invoke(state, request, deadline)
-                )
+                result = endpoint.invoke(state, request, deadline)
         else:
-            body = codec.dumps_body(endpoint.invoke(state, request, deadline))
+            result = endpoint.invoke(state, request, deadline)
+        body = codec.dumps_body(result)
         if key is not None:
-            state.store_response(key, body)
+            # Spliced bodies stay in pieces that share fragment bytes
+            # with the line memo.
+            state.store_response(
+                key,
+                result if isinstance(result, codec.SplicedBody) else body,
+            )
         state.metrics.observe(metric_name, time.perf_counter() - started)
         return Response(200, body)
     except ServiceError as exc:

@@ -12,14 +12,24 @@ Request semantics are the **two-phase corpus protocol** (see
 corpus, so responses depend only on the request payload — never on
 request ordering or service history.  That determinism is what makes
 response caching sound: a :class:`BoundedCache` maps normalized
-request payloads to serialized response bytes, and a hit skips the
-pipeline entirely.  Below that cache nothing outlives a request: a
-miss renders each distinct ingredient line's JSON once and splices it
-into every recipe of the request that uses it.
+request payloads to serialized response bodies, and a hit skips the
+pipeline entirely.
+
+Below that cache sits the **line-outcome memo**: stripped line text ->
+:class:`LineRecord`, the line's pass-1 outcome and rendered fragment.
+A pass-1 estimate is computed without corpus statistics, so it is a
+pure function of (database, tagger, line text) — both fixed for the
+life of the process — and a line that pass 2 does not re-estimate is
+final.  A request runs pass 1 only for memo misses, rebuilds its unit
+statistics from the records, re-estimates its name-only lines against
+them, and splices a memoized fragment only where the final outcome
+*is* the pass-1 outcome.  ``/v1/estimate`` bodies are cached as
+:class:`~repro.service.codec.SplicedBody` pieces that share those
+fragment bytes.
 
 Estimation runs under one lock.  The pipeline is pure Python and
-CPU-bound, so the GIL serializes the work anyway; the lock just keeps
-the estimator's parse and matcher memo caches coherent across server
+CPU-bound, so the GIL serializes the work anyway; the lock keeps the
+line memo and the estimator's matcher memo coherent across server
 threads.  Each request's unit statistics are a value built and read
 inside that request, never state shared with other requests.  Cache
 hits and ``/healthz``/``/metrics`` never take the lock.
@@ -32,11 +42,20 @@ import logging
 import os
 import threading
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro import __version__, faults
-from repro.core.estimator import NutritionEstimator
+from repro.core.estimator import (
+    STATUS_FULL,
+    STATUS_NAME_ONLY,
+    IngredientEstimate,
+    NutritionEstimator,
+)
 from repro.core.explain import explain_line
+from repro.core.profile import NutritionalProfile
+from repro.core.resolution import REASON_ESTIMATOR_ERROR
 from repro.deadletter import DeadLetterLog
 from repro.pipeline.engine import RunReport, ShardedCorpusEstimator
 from repro.pipeline.errors import PipelineError
@@ -49,8 +68,10 @@ from repro.service.resilience import (
     CircuitBreaker,
     Deadline,
 )
+from repro.units.fallback import UnitFallback
 # The benchmark tracer wraps this name to count digests per request.
 from repro.units.fallback import snapshot_digest  # noqa: F401
+from repro.usda.schema import FoodItem
 from repro.utils import BoundedCache
 
 log = logging.getLogger("repro.service")
@@ -58,20 +79,105 @@ log = logging.getLogger("repro.service")
 #: Default entry cap for the response cache.
 DEFAULT_RESPONSE_CACHE_CAP = 4096
 
-#: Bodies larger than this are never cached.  Single-recipe responses
-#: are a few KB, but batch responses reach MBs (5000 recipes are
-#: allowed per request) — an entry-count cap alone would let the cache
-#: grow to gigabytes.  Together the two caps bound cache memory at
-#: ``cache_cap * MAX_CACHEABLE_BODY_BYTES`` ≈ 1 GB worst case, and in
-#: practice tens of MB (huge cacheable bodies are rare: a repeated
-#: giant batch re-estimates instead, which is the cheap case anyway
-#: once the estimator memos are warm).
+#: Bodies larger than this are never cached; the cap applies to the
+#: joined length, also for a body kept as
+#: :class:`~repro.service.codec.SplicedBody` pieces.  Single-recipe
+#: responses are a few KB, but batch responses reach MBs (5000 recipes
+#: are allowed per request) — an entry-count cap alone would let the
+#: cache grow to gigabytes.  Together the two caps bound cache memory
+#: at ``cache_cap * MAX_CACHEABLE_BODY_BYTES`` ≈ 1 GB worst case, and
+#: in practice a few MB: a cached ``/v1/estimate`` body holds its own
+#: head (under 1 KB) and references fragment bytes shared with the
+#: line memo, so a fragment evicted from the memo stays alive only
+#: while a cached body still references it.
 MAX_CACHEABLE_BODY_BYTES = 256 * 1024
+
+#: Entry cap for the line-outcome memo (FIFO eviction).  Covers
+#: RecipeDB's ~23k distinct ingredient phrases.  A realistic record
+#: with its key takes 1.2-1.6 KB (mostly its rendered fragment), so a
+#: memo full of such lines holds ~45 MB.  The cap alone bounds it
+#: higher: a line may have ``codec.MAX_PHRASE_CHARS`` (500)
+#: characters, the fragment repeats the text in several fields, and
+#: JSON escapes every non-ASCII character, so 500 astral-plane
+#: symbols make a ~24 KB record and a memo full of them ~750 MiB.
+#: (The per-estimator parse memo, ``DEFAULT_CACHE_CAP`` entries of up
+#: to ~52 KB each for the same lines, is bounded an order higher.)
+LINE_MEMO_CAP = 1 << 15
 
 #: Below this many distinct ingredient lines a batch request runs on
 #: the in-process estimator even when ``workers > 1`` — process-pool
 #: start-up costs more than estimating a small table.
 ENGINE_MIN_DISTINCT_LINES = 256
+
+
+class RenderedLine(NamedTuple):
+    """One distinct line of a request, final and ready to splice.
+
+    Carries the ``profile`` and ``status`` that
+    :meth:`NutritionEstimator.finish_recipe` and the
+    :class:`~repro.core.estimator.RecipeEstimate` fractions read, so a
+    recipe of rendered lines aggregates exactly as one of estimates.
+    """
+
+    fragment: bytes
+    status: str
+    reason: str
+    profile: NutritionalProfile
+
+    @classmethod
+    def of(cls, estimate: IngredientEstimate) -> "RenderedLine":
+        return cls(
+            codec.dumps_ingredient_fragment(estimate),
+            estimate.status,
+            estimate.reason,
+            estimate.profile,
+        )
+
+
+class LineRecord(NamedTuple):
+    """A line's pass-1 outcome, slim enough to keep across requests.
+
+    What a later request needs from the line without estimating it
+    again: the rendered fragment, the status and reason, the
+    (``name``, ``unit``) observation pass 1 contributes to the unit
+    statistics, and the ``food`` and ``grams`` its profile is rebuilt
+    from.  ``unit`` and ``food`` are ``None`` unless the status is
+    ``matched``.
+    """
+
+    fragment: bytes
+    status: str
+    reason: str
+    name: str
+    unit: str | None
+    food: FoodItem | None
+    grams: float
+
+    @classmethod
+    def of(cls, estimate: IngredientEstimate) -> "LineRecord":
+        full = estimate.status == STATUS_FULL
+        return cls(
+            codec.dumps_ingredient_fragment(estimate),
+            estimate.status,
+            estimate.reason,
+            estimate.parsed.name,
+            estimate.resolution.unit if full else None,
+            estimate.match.food if full else None,
+            estimate.grams,
+        )
+
+    def rendered(self) -> RenderedLine:
+        """The record as a final line (its pass-1 estimate stands).
+
+        The profile is the expression the estimator itself evaluates
+        (``NutritionalProfile.from_food(food, grams)``, or zero), so
+        recipe totals are bit-identical to summing the estimates.
+        """
+        if self.status == STATUS_FULL:
+            profile = NutritionalProfile.from_food(self.food, self.grams)
+        else:
+            profile = NutritionalProfile.zero()
+        return RenderedLine(self.fragment, self.status, self.reason, profile)
 
 
 @dataclass(frozen=True)
@@ -267,14 +373,14 @@ class ServiceState:
         # estimate/match/parse traffic behind it.
         self._engine_lock = threading.Lock()
         self._cache_lock = threading.Lock()
-        self._response_cache: BoundedCache[str, bytes] = BoundedCache(
-            config.cache_cap
+        self._response_cache: BoundedCache[
+            str, bytes | codec.SplicedBody
+        ] = BoundedCache(config.cache_cap)
+        # Line text -> pass-1 outcome, probed under _estimator_lock;
+        # reported as caches.fragment.
+        self._line_memo: BoundedCache[str, LineRecord] = BoundedCache(
+            LINE_MEMO_CAP
         )
-        # Within-request fragment reuse, reported as caches.fragment:
-        # ingredient occurrences served from a line already rendered
-        # in the same request (hits) and lines rendered (misses).
-        self._fragment_hits = 0
-        self._fragment_misses = 0
 
     @property
     def estimator(self) -> NutritionEstimator:
@@ -297,7 +403,8 @@ class ServiceState:
     def cached_response(self, key: str) -> bytes | None:
         """Look *key* up, counting the probe as a hit or a miss."""
         with self._cache_lock:
-            return self._response_cache.get(key)
+            body = self._response_cache.get(key)
+        return None if body is None else codec.dumps_body(body)
 
     def recheck_response(self, key: str) -> bytes | None:
         """Look *key* up again without counting the probe.
@@ -306,9 +413,12 @@ class ServiceState:
         request may have stored the body in the meantime.
         """
         with self._cache_lock:
-            return dict.get(self._response_cache, key)
+            body = dict.get(self._response_cache, key)
+        return None if body is None else codec.dumps_body(body)
 
-    def store_response(self, key: str, body: bytes) -> None:
+    def store_response(
+        self, key: str, body: bytes | codec.SplicedBody
+    ) -> None:
         if len(body) > MAX_CACHEABLE_BODY_BYTES:
             return
         with self._cache_lock:
@@ -369,21 +479,132 @@ class ServiceState:
 
     def _local_table(
         self, counts: dict[str, int], deadline: Deadline | None
-    ) -> dict:
-        """Distinct-line table -> final estimates on the warm estimator."""
+    ) -> dict[str, RenderedLine]:
+        """Distinct-line table -> final lines on the warm estimator.
+
+        The corpus protocol of
+        :meth:`NutritionEstimator.corpus_protocol`, with pass 1 served
+        from the line memo where it can be.  While a fault plan is
+        active the memo is neither read nor written: a poison
+        selector set after a line was memoized must still fire.
+        """
         self._checkpoint(deadline, "estimation")
         quarantine = DeadLetterLog()
+        memo = self._line_memo if faults.active_plan() is None else None
         with self._estimator_lock:
-            table, _ = self._estimator.corpus_protocol(
-                counts, quarantine=quarantine
-            )
+            lines = self._memo_protocol(counts, memo, quarantine)
         self.note_dead_letters(len(quarantine))
-        return table
+        return lines
+
+    @staticmethod
+    def _probe(
+        counts: dict[str, int],
+        memo: BoundedCache[str, LineRecord] | None,
+    ) -> tuple[dict[str, LineRecord], list[tuple[str, int]]]:
+        """Split *counts* into memoized records and ``(text, count)``
+        misses; with no *memo* every line misses."""
+        records: dict[str, LineRecord] = {}
+        misses: list[tuple[str, int]] = []
+        for text, count in counts.items():
+            record = None if memo is None else memo.get(text)
+            if record is None:
+                misses.append((text, count))
+            else:
+                records[text] = record
+        return records, misses
+
+    def _memo_protocol(
+        self,
+        counts: dict[str, int],
+        memo: BoundedCache[str, LineRecord] | None,
+        quarantine: DeadLetterLog,
+    ) -> dict[str, RenderedLine]:
+        """Both passes of the corpus protocol over memoized pass 1.
+
+        Pass 1 runs only for the lines *memo* misses; a miss is
+        memoized unless its pass 1 raised.  The unit statistics are
+        rebuilt from every line's record in table order, weighted by
+        count — exactly the table :meth:`corpus_collect_estimates`
+        builds over the whole request — and only if some line is
+        name-only, since pass 2 is their only reader.
+        """
+        estimator = self._estimator
+        records, misses = self._probe(counts, memo)
+        if misses:
+            fresh, _ = estimator.corpus_collect_estimates(
+                misses, quarantine=quarantine
+            )
+            for text, estimate in fresh.items():
+                record = records[text] = LineRecord.of(estimate)
+                if (
+                    memo is not None
+                    and estimate.reason != REASON_ESTIMATOR_ERROR
+                ):
+                    memo[text] = record
+        pending = [
+            text
+            for text in counts
+            if records[text].status == STATUS_NAME_ONLY
+        ]
+        final: dict[str, IngredientEstimate] = {}
+        if pending:
+            stats = UnitFallback(estimator.fallback.max_grams)
+            for text, count in counts.items():
+                record = records[text]
+                if record.status == STATUS_FULL:
+                    stats.observe(record.name, record.unit, count)
+            final = estimator.corpus_fallback_estimates(
+                pending,
+                stats,
+                quarantine=quarantine,
+                ordinals={text: i for i, text in enumerate(counts)},
+            )
+        return {
+            text: (
+                RenderedLine.of(final[text])
+                if text in final
+                else records[text].rendered()
+            )
+            for text in counts
+        }
+
+    def _context_statistics(
+        self,
+        context: Sequence[str],
+        memo: BoundedCache[str, LineRecord] | None,
+    ) -> UnitFallback:
+        """The unit statistics ``/v1/explain`` collects from *context*.
+
+        The same table :func:`~repro.core.explain.explain_line` builds
+        from the lines, but memoized lines are read from their records.
+        Misses run pass 1 strictly (a raising line propagates) and are
+        not stored: rendering their fragments would cost more than the
+        memo saves an explanation.
+        """
+        estimator = self._estimator
+        counts = Counter(context)
+        records, misses = self._probe(counts, memo)
+        fresh = (
+            estimator.corpus_collect_estimates(misses)[0] if misses else {}
+        )
+        stats = UnitFallback(estimator.fallback.max_grams)
+        for text, count in counts.items():
+            record = records.get(text)
+            if record is not None:
+                if record.status == STATUS_FULL:
+                    stats.observe(record.name, record.unit, count)
+                continue
+            estimate = fresh[text]
+            if estimate.status == STATUS_FULL:
+                stats.observe(
+                    estimate.parsed.name, estimate.resolution.unit, count
+                )
+        return stats
 
     def _estimate_table(
         self, counts: dict[str, int], deadline: Deadline | None = None
-    ) -> dict:
-        """Distinct-line table -> final estimates, engine or in-process.
+    ) -> dict[str, RenderedLine]:
+        """Distinct-line table -> final lines, engine or in-process.
 
         Both paths run the identical two-phase corpus protocol, so the
         choice is invisible in the response (the engine's exact-parity
@@ -393,7 +614,9 @@ class ServiceState:
         it only engages from :data:`ENGINE_MIN_DISTINCT_LINES` distinct
         lines up (read at call time), where fan-out beats the warm
         estimator, and runs under its own lock so a large batch never
-        stalls single-recipe traffic.
+        stalls single-recipe traffic.  It renders every line from its
+        own table; only the in-process path goes through the line
+        memo.
 
         The engine path sits behind the circuit breaker: an engine
         failure (chunk retry budget exhausted, pool unusable, artifact
@@ -432,58 +655,39 @@ class ServiceState:
                 else:
                     self.breaker.record_success()
                     self.absorb_report(report)
-                    return table
+                    return {
+                        text: RenderedLine.of(estimate)
+                        for text, estimate in table.items()
+                    }
             else:
                 self.note_degraded_batch()
         return self._local_table(counts, deadline)
-
-    def _render_recipes(
-        self, recipes: list[tuple[tuple[str, ...], float]], table: dict
-    ) -> list[bytes]:
-        """Response bodies for ``(texts, servings)`` recipes.
-
-        Each distinct line of *table* is rendered once for the whole
-        request and spliced into every recipe that uses it; nothing
-        outlives the request, so no bytes can be replayed under other
-        statistics or another database.  Byte-identical to serializing
-        the monolithic dict (pinned by ``tests/test_fragment_cache.py``).
-        """
-        fragments = {
-            text: codec.dumps_ingredient_fragment(estimate)
-            for text, estimate in table.items()
-        }
-        occurrences = sum(len(texts) for texts, _ in recipes)
-        with self._cache_lock:
-            self._fragment_hits += occurrences - len(fragments)
-            self._fragment_misses += len(fragments)
-        return [
-            codec.assemble_recipe_estimate_bytes(
-                NutritionEstimator.finish_recipe(
-                    [table[text] for text in texts], servings
-                ),
-                [fragments[text] for text in texts],
-            )
-            for texts, servings in recipes
-        ]
 
     def estimate(
         self,
         request: codec.EstimateRequest,
         deadline: Deadline | None = None,
-    ) -> bytes:
+    ) -> codec.SplicedBody:
         """``/v1/estimate``: one recipe, always on the warm estimator.
 
-        Returns the serialized response body.
+        Returns the response body as pieces (``codec.dumps_body``
+        joins them); the response cache keeps them unjoined.  The
+        joined bytes equal serializing the monolithic dict (pinned by
+        ``tests/test_fragment_cache.py``).
         """
-        counts = dict(Counter(request.ingredients))
-        table = self._local_table(counts, deadline)
+        lines = self._local_table(
+            dict(Counter(request.ingredients)), deadline
+        )
         self.metrics.observe_reasons(
-            table[text].reason for text in request.ingredients
+            lines[text].reason for text in request.ingredients
         )
-        (body,) = self._render_recipes(
-            [(request.ingredients, request.servings)], table
+        recipe = [lines[text] for text in request.ingredients]
+        shell = codec.assemble_recipe_estimate_bytes(
+            NutritionEstimator.finish_recipe(recipe, request.servings), ()
         )
-        return body
+        return codec.SplicedBody(
+            shell, tuple(line.fragment for line in recipe)
+        )
 
     def estimate_batch(
         self,
@@ -497,8 +701,8 @@ class ServiceState:
         over the same recipes.  With ``workers > 1`` and enough
         distinct lines the table fans out through the sharded engine
         (wire codec and all); results are bit-identical either way.
-        Returns the serialized response body: batches repeat lines
-        heavily, so each distinct line's JSON is rendered once and
+        Returns the serialized response body: each distinct line's
+        JSON is rendered once (or taken from the line memo) and
         spliced into every recipe that uses it.
         """
         counts = dict(
@@ -508,23 +712,24 @@ class ServiceState:
                 for text in recipe.ingredients
             )
         )
-        table = self._estimate_table(counts, deadline)
+        lines = self._estimate_table(counts, deadline)
         if deadline is not None:
             deadline.check("response assembly")
         self.metrics.observe_reasons(
-            table[text].reason
+            lines[text].reason
             for recipe in request.recipes
             for text in recipe.ingredients
         )
-        return codec.assemble_batch_bytes(
-            self._render_recipes(
-                [
-                    (recipe.ingredients, recipe.servings)
-                    for recipe in request.recipes
-                ],
-                table,
+        bodies = []
+        for recipe in request.recipes:
+            rows = [lines[text] for text in recipe.ingredients]
+            bodies.append(
+                codec.assemble_recipe_estimate_bytes(
+                    NutritionEstimator.finish_recipe(rows, recipe.servings),
+                    [line.fragment for line in rows],
+                )
             )
-        )
+        return codec.assemble_batch_bytes(bodies)
 
     def match(self, request: codec.MatchRequest) -> dict:
         """``/v1/match``: closest USDA-SR description for a name."""
@@ -571,14 +776,20 @@ class ServiceState:
         reads statistics collected from the request's ``context``
         lines only, never the warm estimator's live table (see
         :func:`repro.core.explain.explain_line`), which is what keeps
-        the endpoint cacheable.
+        the endpoint cacheable.  Context lines the line memo holds
+        are not estimated again.
         """
+        memo = self._line_memo if faults.active_plan() is None else None
+        statistics = None
         with self._estimator_lock:
+            if request.context:
+                statistics = self._context_statistics(request.context, memo)
             explanation = explain_line(
                 self._estimator,
                 request.text,
                 context=request.context,
                 k=request.top,
+                statistics=statistics,
             )
         self.metrics.observe_reasons((explanation.estimate.reason,))
         return codec.encode_explanation(explanation)
@@ -630,30 +841,24 @@ class ServiceState:
     def caches_snapshot(self) -> dict:
         """Hit/miss/eviction stats for every cache tier.
 
-        The parse and matcher memos live inside the estimator; their
-        counters are plain ints bumped under the estimator lock, and
-        reading ints/lens is atomic, so the snapshot skips that lock —
+        ``fragment`` is the line-outcome memo: one probe per distinct
+        line of an in-process estimation request or of an explain
+        context.  It, and the parse
+        and matcher memos inside the estimator, are bumped under the
+        estimator lock; their counters are plain ints and reading
+        ints/lens is atomic, so the snapshot skips that lock —
         ``/metrics`` must answer even while a big batch holds it.
-        ``fragment`` is not a store: it counts rendered lines (misses)
-        and occurrences reusing a line rendered earlier in the same
-        request (hits), so ``size``, ``cap`` and ``evictions`` read 0.
+        The parse memo serves only the per-line API
+        (``NutritionEstimator._parse_cached``), so a service reads
+        zeros there.
         """
         with self._cache_lock:
             response = self._response_cache.stats()
-            hits, misses = self._fragment_hits, self._fragment_misses
-        fragment = {
-            "size": 0,
-            "cap": 0,
-            "hits": hits,
-            "misses": misses,
-            "evictions": 0,
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        }
         return {
             "parse": self._estimator.parse_cache_stats(),
             "matcher": self._estimator.matcher.cache_stats(),
             "response": response,
-            "fragment": fragment,
+            "fragment": self._line_memo.stats(),
         }
 
     def metrics_snapshot(self) -> dict:

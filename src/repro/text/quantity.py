@@ -10,10 +10,14 @@ module parses every quantity shape observed in RecipeDB-style phrases:
   normalization by :mod:`repro.text.tokenize`)
 * ranges, averaged — ``"2-4"`` -> 3, ``"2 to 4"`` -> 3, ``"2 or 3"`` -> 2.5
 * number words — ``"one"``, ``"a dozen"``
+
+Every parsed value is finite: a digit run too long for a float
+(``"9" * 400``) is unparseable, not infinite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.text.tokenize import normalize_unicode
@@ -90,12 +94,25 @@ def parse_quantity(text: str) -> float:
     Raises
     ------
     QuantityParseError
-        If no numeric interpretation exists.
+        If no numeric interpretation exists, or the value is not a
+        finite float (overflowing digit runs, huge fractions).
     """
     if not text or not text.strip():
         raise QuantityParseError("empty quantity string")
-    text = normalize_unicode(text).strip().lower()
+    try:
+        value = _parse_normalized(normalize_unicode(text).strip().lower())
+    except QuantityParseError:
+        raise
+    except (OverflowError, ValueError) as exc:
+        # int / int past float range, or a digit run past int()'s limit.
+        raise QuantityParseError(f"quantity out of range: {text!r}") from exc
+    if not math.isfinite(value):
+        raise QuantityParseError(f"quantity out of range: {text!r}")
+    return value
 
+
+def _parse_normalized(text: str) -> float:
+    """:func:`parse_quantity` on normalized, lower-cased text."""
     # "a dozen" / "one dozen" multiplies.
     parts = text.split()
     if len(parts) == 2 and parts[1] == "dozen":

@@ -1,9 +1,9 @@
 """Small shared utilities.
 
 * :class:`BoundedCache` — the size-capped memo dict used by the
-  long-running batch paths (estimator parse cache, matcher token/lemma
-  and result memos) so corpus-scale processes cannot grow memory
-  without limit.
+  long-running paths (estimator parse cache, matcher token/lemma and
+  result memos, the service's line-outcome and response caches) so
+  corpus-scale processes cannot grow memory without limit.
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — the one
   crash-safe file-replacement path shared by every durable writer in
   the repo (artifact store, run manifests, dead-letter reports,
@@ -26,10 +26,13 @@ V = TypeVar("V")
 #: Internal sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
 
-#: Default entry cap for per-instance memo caches.  Generous enough
-#: that realistic corpora never evict (RecipeDB has ~23k distinct
-#: ingredient phrases), small enough to bound a service that sees
-#: adversarially diverse input.
+#: Default entry cap for per-instance memo caches (parse, matcher,
+#: quantity).  Generous enough that realistic corpora never evict
+#: (RecipeDB has ~23k distinct ingredient phrases), small enough to
+#: bound a service that sees adversarially diverse input.  The
+#: service's line-outcome memo holds much larger entries (a rendered
+#: fragment each) and has its own, smaller cap sized to the same
+#: ~23k figure (``repro.service.state.LINE_MEMO_CAP``).
 DEFAULT_CACHE_CAP = 1 << 17
 
 

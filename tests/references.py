@@ -15,14 +15,19 @@ which compute the same tables the obvious way:
 
 It also holds the monolithic ``/v1/estimate`` body builder
 (:func:`encode_recipe_estimate`) that the service's fragment splicing
-must reproduce byte for byte.
+must reproduce byte for byte, and the memo-free service oracle
+(:func:`render_estimate_body`, :func:`render_batch_body`): a request's
+body straight from a fresh :meth:`NutritionEstimator.corpus_protocol`
+call, with no line memo, fragment splicing or response cache.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 from repro import faults
+from repro.deadletter import DeadLetterLog
 from repro.core.estimator import (
     STATUS_FULL,
     STATUS_NAME_ONLY,
@@ -156,3 +161,35 @@ def encode_recipe_estimate(estimate) -> dict:
             encode_ingredient_estimate(item) for item in estimate.ingredients
         ],
     }
+
+
+def _render_recipes(estimator, recipes):
+    """``(texts, servings)`` recipes as one corpus -> body dicts."""
+    counts = Counter(text for texts, _ in recipes for text in texts)
+    table, _ = estimator.corpus_protocol(
+        dict(counts), quarantine=DeadLetterLog()
+    )
+    return [
+        encode_recipe_estimate(
+            NutritionEstimator.finish_recipe(
+                [table[text] for text in texts], servings
+            )
+        )
+        for texts, servings in recipes
+    ]
+
+
+def _dumps(body) -> bytes:
+    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+def render_estimate_body(estimator, texts, servings) -> bytes:
+    """The ``/v1/estimate`` body for one recipe, memo-free."""
+    (body,) = _render_recipes(estimator, [(texts, servings)])
+    return _dumps(body)
+
+
+def render_batch_body(estimator, recipes) -> bytes:
+    """The ``/v1/estimate_batch`` body for ``(texts, servings)`` recipes."""
+    bodies = _render_recipes(estimator, recipes)
+    return _dumps({"count": len(bodies), "recipes": bodies})

@@ -188,6 +188,15 @@ class TestEstimateRecipe:
         assert recipe.total.calories == 0.0
         assert recipe.fraction_fully_mapped == 0.0
 
+    @pytest.mark.parametrize("quantity", ["9" * 400, "9" * 400 + "/1"])
+    def test_overflowing_quantity_counts_as_one(self, estimator, quantity):
+        """A quantity past float range is unparseable (quantity 1.0),
+        not infinite grams or an OverflowError."""
+        recipe = estimator.estimate_recipe([f"{quantity} cups sugar"])
+        (line,) = recipe.ingredients
+        assert line.quantity == 1.0
+        assert line.grams == estimator.estimate_ingredient("1 cup sugar").grams
+
     def test_corpus_two_pass_fallback(self, generator):
         estimator = NutritionEstimator()
         recipes = generator.generate(30)

@@ -285,7 +285,9 @@ class TestServiceByteParity:
             [render(batch_table, r.ingredients, r.servings)
              for r in request.recipes]
         )
-        assert state.estimate(single) == render(single_table, texts, 2)
+        assert codec.dumps_body(state.estimate(single)) == render(
+            single_table, texts, 2
+        )
 
 
 class TestWeightedObserveProperties:

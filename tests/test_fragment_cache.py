@@ -1,4 +1,4 @@
-"""Per-request fragment rendering: byte-exact assembly and reuse.
+"""Fragment rendering: byte-exact assembly and cross-request reuse.
 
 The service's estimation endpoints assemble their response bodies
 from pre-serialized per-ingredient JSON fragments.  Two contracts
@@ -8,11 +8,11 @@ matter:
   ``json.dumps`` of the monolithic dict the endpoints used to build
   (clients and the whole-response cache must not observe the
   refactor);
-* **per-request reuse** — each distinct line of a request is rendered
-  once and spliced into every recipe that uses it, and nothing
-  outlives the request, so a repeat renders again instead of replaying
-  bytes frozen under another request's statistics (the ``caches``
-  section of ``/metrics`` reports both counts under ``fragment``).
+* **reuse** — a line's pass-1 fragment is rendered once per process
+  and kept in the line-outcome memo (reported as ``fragment`` in the
+  ``caches`` section of ``/metrics``); the response cache keeps
+  ``/v1/estimate`` bodies as pieces that reference those same bytes.
+  ``tests/test_line_memo.py`` holds the memo's parity properties.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import threading
 import pytest
 
 from references import encode_recipe_estimate
-from repro.core.estimator import NutritionEstimator
+from repro.core.estimator import STATUS_NAME_ONLY, NutritionEstimator
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.service import codec
-from repro.service.state import ServiceConfig, ServiceState
+from repro.service.handlers import dispatch
+from repro.service.state import LINE_MEMO_CAP, ServiceConfig, ServiceState
 
 
 @pytest.fixture(scope="module")
@@ -99,21 +100,36 @@ class TestAssemblyByteExactness:
         ).encode("utf-8")
         assert assembled == monolithic
 
+    def test_spliced_body_joins_to_assembled_bytes(self, recipe_estimate):
+        fragments = [
+            codec.dumps_ingredient_fragment(item)
+            for item in recipe_estimate.ingredients
+        ]
+        for count in (len(fragments), 1, 0):
+            spliced = codec.SplicedBody(
+                codec.assemble_recipe_estimate_bytes(recipe_estimate, ()),
+                tuple(fragments[:count]),
+            )
+            joined = codec.dumps_body(spliced)
+            assert joined == codec.assemble_recipe_estimate_bytes(
+                recipe_estimate, fragments[:count]
+            )
+            assert len(spliced) == len(joined)
+
     def test_dumps_body_passes_bytes_through(self):
         assert codec.dumps_body(b'{"x":1}') == b'{"x":1}'
         assert codec.dumps_body({"x": 1}) == b'{"x":1}'
 
 
 class TestFragmentReuse:
-    def test_each_distinct_line_renders_once_per_request(self, state, recipes):
-        """Misses count rendered lines, hits count the other
-        occurrences; a repeat of the same batch renders every line
-        again because no bytes outlive a request."""
+    def test_repeat_request_replays_memoized_lines(self, recipes):
+        """A cold batch probes the memo once per distinct line and
+        misses; the identical batch again hits every line and renders
+        nothing new, with the same bytes."""
+        state = ServiceState(ServiceConfig(port=0))
         batch = recipes + recipes[:3]
         request = _batch_request(batch)
-        occurrences = sum(len(r.ingredient_texts) for r in batch)
         distinct = len({t for r in batch for t in r.ingredient_texts})
-        assert occurrences > distinct
 
         def moved(before, after):
             return (
@@ -127,28 +143,52 @@ class TestFragmentReuse:
         second = state.estimate_batch(request)
         after = state.caches_snapshot()["fragment"]
         assert second == first
-        assert moved(before, middle) == (distinct, occurrences - distinct)
-        assert moved(middle, after) == (distinct, occurrences - distinct)
-        assert after["size"] == after["cap"] == after["evictions"] == 0
+        assert moved(before, middle) == (distinct, 0)
+        assert moved(middle, after) == (0, distinct)
+        assert after["size"] == distinct
+        assert after["cap"] == LINE_MEMO_CAP
+        assert after["evictions"] == 0
 
-    def test_concurrent_requests_lose_no_counts(self, state):
-        """Server threads share the counters: every request's counts
-        land even with more threads than cores and frequent switches."""
-        texts = ("1 tsp salt", "2 cups flour", "1 tsp salt")
-        table = NutritionEstimator().corpus_estimate_table({
-            "1 tsp salt": 2, "2 cups flour": 1,
-        })
+    def test_cached_body_shares_memoized_fragments(self, recipes):
+        """The response cache holds a /v1/estimate body as pieces
+        whose fragments are the memo's own bytes objects, not copies."""
+        state = ServiceState(ServiceConfig(port=0))
+        texts = list(recipes[0].ingredient_texts)
+        response = dispatch(
+            state, "POST", "/v1/estimate", {"ingredients": texts}
+        )
+        assert response.status == 200
+        (entry,) = state._response_cache.values()
+        assert isinstance(entry, codec.SplicedBody)
+        assert codec.dumps_body(entry) == response.body
+        assert len(entry) == len(response.body)
+        for text, fragment in zip(texts, entry.fragments):
+            record = state._line_memo.get(text)
+            assert record is not None
+            if record.status != STATUS_NAME_ONLY:
+                assert fragment is record.fragment
+
+    def test_concurrent_requests_lose_no_counts(self):
+        """Server threads share the memo: every request's probes land
+        even with more threads than cores and frequent switches."""
+        state = ServiceState(ServiceConfig(port=0))
+        request = codec.EstimateRequest(
+            ingredients=("1 tsp salt", "2 cups flour", "1 tsp salt"),
+            servings=2,
+        )
+        expected = codec.dumps_body(state.estimate(request))
         threads, repeats = 8, 200
         before = state.caches_snapshot()["fragment"]
+        bodies: list[bytes] = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             workers = [
                 threading.Thread(
-                    target=lambda: [
-                        state._render_recipes([(texts, 2)], table)
+                    target=lambda: bodies.extend(
+                        codec.dumps_body(state.estimate(request))
                         for _ in range(repeats)
-                    ]
+                    )
                 )
                 for _ in range(threads)
             ]
@@ -160,16 +200,19 @@ class TestFragmentReuse:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         after = state.caches_snapshot()["fragment"]
-        renders = threads * repeats
-        assert after["misses"] - before["misses"] == 2 * renders
-        assert after["hits"] - before["hits"] == renders
+        probes = threads * repeats * 2  # two distinct lines per request
+        assert after["hits"] - before["hits"] == probes
+        assert after["misses"] == before["misses"]
+        assert bodies == [expected] * (threads * repeats)
 
     def test_estimate_and_batch_share_valid_json(self, state, recipes):
         body = json.loads(
-            state.estimate(
-                codec.EstimateRequest(
-                    ingredients=tuple(recipes[0].ingredient_texts),
-                    servings=recipes[0].servings,
+            codec.dumps_body(
+                state.estimate(
+                    codec.EstimateRequest(
+                        ingredients=tuple(recipes[0].ingredient_texts),
+                        servings=recipes[0].servings,
+                    )
                 )
             )
         )

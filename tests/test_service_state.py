@@ -131,11 +131,30 @@ class TestCacheKey:
 
 
 class TestStateEndpoints:
+    def test_overflowing_quantity_renders_strict_json(self, state):
+        """Non-finite floats would render as ``Infinity``/``NaN``,
+        which strict JSON parsers (``JSON.parse``) reject."""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for text in ("9" * 400 + " cups sugar", "9" * 400 + "/1 cups sugar"):
+            response = dispatch(
+                state, "POST", "/v1/estimate", {"ingredients": [text]}
+            )
+            assert response.status == 200
+            body = json.loads(response.body, parse_constant=reject)
+            (line,) = body["ingredients"]
+            assert line["quantity"] == 1.0
+            assert line["reason"] != "estimator-error"
+
     def test_estimate_matches_in_process_corpus_protocol(self, state):
         texts = ["2 cups white sugar", "1 tsp salt", "2 cups white sugar"]
         body = json.loads(
-            state.estimate(
-                codec.EstimateRequest(ingredients=tuple(texts), servings=3)
+            codec.dumps_body(
+                state.estimate(
+                    codec.EstimateRequest(ingredients=tuple(texts), servings=3)
+                )
             )
         )
         reference = NutritionEstimator()

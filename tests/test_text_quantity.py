@@ -45,6 +45,22 @@ class TestParseQuantity:
     def test_range_of_fractions(self):
         assert parse_quantity("1/2 to 3/4") == pytest.approx(0.625)
 
+    @pytest.mark.parametrize("text", [
+        "9" * 400,                       # float("9" * 400) is inf
+        "9" * 400 + "/1",                # int / int overflows
+        "1 " + "9" * 400 + "/1",         # mixed number overflows
+        "9" * 400 + " dozen",
+        "9" * 400 + "-" + "9" * 400,     # range of infinities
+        "9" * 5000 + "/1",               # past int()'s digit limit
+        "9" * 400 + ".5",
+    ])
+    def test_out_of_range_raises(self, text):
+        with pytest.raises(QuantityParseError, match="out of range"):
+            parse_quantity(text)
+
+    def test_large_finite_range_still_parses(self):
+        assert parse_quantity("9" * 300 + "-" + "9" * 300) == float("1e300")
+
 
 class TestTryParse:
     def test_success(self):
@@ -52,6 +68,10 @@ class TestTryParse:
 
     def test_failure_returns_none(self):
         assert try_parse_quantity("xyz") is None
+
+    @pytest.mark.parametrize("text", ["9" * 400, "9" * 400 + "/1"])
+    def test_overflow_returns_none(self, text):
+        assert try_parse_quantity(text) is None
 
 
 class TestFormatQuantity:
