@@ -62,6 +62,7 @@ from repro.pipeline.engine import (
 from repro.recipedb.corpus import (
     iter_recipes_jsonl,
     load_recipes_jsonl,
+    recipe_fields_from_line,
     save_recipes_jsonl,
 )
 from repro.deadletter import REPORT_NAME, write_report_jsonl
@@ -229,9 +230,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"corpus protocol; --passes {args.passes} is ignored"
         )
 
-    def show(recipe, est) -> None:
+    def show(title, est) -> None:
         print(
-            f"{recipe.title[:40]:42} {est.per_serving.calories:9.1f} "
+            f"{title[:40]:42} {est.per_serving.calories:9.1f} "
             f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% mapped"
         )
 
@@ -243,7 +244,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     report = None
     if use_engine:
         # Sharded/streaming path: the engine traverses the file itself
-        # (once, bounded memory); the CLI parses it once more for the
+        # (once, bounded memory); the CLI reads it once more for the
         # titles, streaming alongside, and results print as they
         # arrive.  Estimation is lazy here,
         # so the timer necessarily spans the consuming loop.
@@ -258,10 +259,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             run_dir=run_dir,
             resume=resume,
         )
-        recipe_stream = (
-            iter_recipes_jsonl(args.path, on_error="skip")
-            if quarantine
-            else iter_recipes_jsonl(args.path)
+        # The engine's own lean parse: it skips exactly the lines the
+        # engine's traversal skips, so the two streams stay aligned.
+        title_stream = (
+            fields[0]
+            for fields in iter_recipes_jsonl(
+                args.path,
+                on_error="skip" if quarantine else "raise",
+                parse=recipe_fields_from_line,
+            )
         )
         if run_dir is not None:
             print(f"durable run directory: {run_dir}")
@@ -275,15 +281,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         }
         start = time.perf_counter()
         try:
-            for recipe, est in zip(
-                recipe_stream,
+            for title, est in zip(
+                title_stream,
                 engine.iter_corpus_estimates(args.path),
             ):
                 n_recipes += 1
                 lines += len(est.ingredients)
                 if reason_tally is not None:
                     reason_tally.add_recipe(est)
-                show(recipe, est)
+                show(title, est)
         except _Interrupted as exc:
             name = signal.Signals(exc.signum).name
             report = engine.last_report
@@ -338,7 +344,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             lines += len(est.ingredients)
             if reason_tally is not None:
                 reason_tally.add_recipe(est)
-            show(recipe, est)
+            show(recipe.title, est)
         mode = (
             "1 pass(es)" if args.passes == 1
             else "in-process, two-phase corpus protocol"

@@ -58,6 +58,17 @@ servings value per recipe: recipes are streamed (see
 :func:`repro.recipedb.corpus.iter_recipes_jsonl`) and never held, and
 each worker holds at most one chunk at a time.
 
+**Lean coordinator**: the coordinator is serial, so its own work is
+kept small and off the workers' path.  The traversal reads JSONL
+through the lean parse
+(:func:`~repro.recipedb.corpus.recipe_fields_from_line`), which
+yields ``(title, texts, servings)`` and builds no ``Recipe`` objects
+but accepts and rejects exactly the lines the full parse does; the
+pool hands an idle worker its next chunk before yielding a result;
+and automatic garbage collection is paused while the estimate table
+is built, then the finished heap is frozen for the fan-out (see
+:meth:`ShardedCorpusEstimator._corpus_table`).
+
 **Columnar hot path**: workers (and the ``workers=1``
 in-process path) drive each chunk through the batched pipeline
 (:mod:`repro.core.columnar`) — chunk-wide tokenize/tag stages
@@ -100,7 +111,9 @@ reuse workers in an unknown state.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import os
 import time
 import weakref
@@ -123,7 +136,7 @@ from repro.deadletter import MAX_INPUT_CHARS, DeadLetterLog
 from repro.pipeline.spec import EstimatorSpec
 from repro.pipeline.supervisor import SupervisedWorkerPool, WorkerState
 from repro.pipeline.wire import dumps_estimates, loads_estimates
-from repro.recipedb.corpus import iter_recipes_jsonl
+from repro.recipedb.corpus import iter_recipes_jsonl, recipe_fields_from_line
 from repro.recipedb.model import Recipe
 from repro.runs import DurableRun, RunError, RunJournalError, RunManifest
 from repro.runs.manifest import corpus_identity, new_run_id
@@ -498,18 +511,26 @@ class ShardedCorpusEstimator:
 
     def _stream(
         self, source: CorpusSource, dead_letters: DeadLetterLog
-    ) -> Iterator[Recipe]:
-        """The run's corpus traversal, quarantine-aware for JSONL
-        sources: with quarantine on, malformed lines are skipped and
-        recorded in *dead_letters*."""
+    ) -> Iterator[tuple[str, list[str], object]]:
+        """The run's corpus traversal as ``(title, texts, servings)``,
+        quarantine-aware for JSONL sources: with quarantine on,
+        malformed lines are skipped and recorded in *dead_letters*.
+        JSONL lines go through the lean parse, which builds no
+        :class:`Recipe`."""
         if isinstance(source, (str, Path)):
             if self._quarantine:
                 return iter_recipes_jsonl(
-                    source, on_error="skip", dead_letters=dead_letters
+                    source,
+                    on_error="skip",
+                    dead_letters=dead_letters,
+                    parse=recipe_fields_from_line,
                 )
-            return iter_recipes_jsonl(source)
+            return iter_recipes_jsonl(source, parse=recipe_fields_from_line)
         if isinstance(source, Sequence):
-            return iter(source)
+            return (
+                (recipe.title, recipe.ingredient_texts, recipe.servings)
+                for recipe in source
+            )
         raise TypeError(
             "corpus source must be a Sequence[Recipe] or a JSONL path, "
             f"got {type(source).__name__}"
@@ -537,10 +558,12 @@ class ShardedCorpusEstimator:
         occurrences = array("I")
         ends = array("I")
         servings = []
-        for recipe in self._stream(source, report.dead_letters):
-            occurrences.extend(map(intern, recipe.ingredient_texts))
+        for _, texts, recipe_servings in self._stream(
+            source, report.dead_letters
+        ):
+            occurrences.extend(map(intern, texts))
             ends.append(len(occurrences))
-            servings.append(recipe.servings)
+            servings.append(recipe_servings)
         # Ordinals first occur in increasing order, so the counter's
         # insertion order is ordinal order.
         counts = Counter(occurrences)
@@ -679,6 +702,54 @@ class ShardedCorpusEstimator:
         """All recipe estimates, in corpus order."""
         return list(self.iter_corpus_estimates(source))
 
+    @contextlib.contextmanager
+    def _corpus_table(
+        self, source: CorpusSource
+    ) -> Iterator[
+        tuple[RunReport, _CorpusLayout, dict[str, IngredientEstimate]]
+    ]:
+        """A corpus run up to its estimate table — the one traversal,
+        then the two-phase protocol over the distinct lines — held
+        for the body of the ``with``.
+
+        Automatic garbage collection is paused while the table is
+        built.  The table and layout are acyclic and only grow, so the
+        collections their allocations trigger would rescan them and
+        free nothing.  The finished heap is then frozen for the body
+        (unless something outside froze it first: a freeze cannot be
+        undone selectively), so the allocations there do not rescan
+        it either; on exit the collector is as it was.  Pool workers
+        forked meanwhile (a lazy spawn, a respawn) turn their own
+        collector back on.  Never pause inside
+        :meth:`estimate_table`: the service calls it from handler
+        threads, and the switch is process-wide.
+        """
+        report = self._begin_run()
+        run = self._durable_run(source)
+        self._note_run(report, run)
+        enabled = gc.isenabled()
+        freeze = gc.get_freeze_count() == 0
+        gc.disable()
+        try:
+            try:
+                layout = self._line_table(source, report)
+                estimates = self._estimate_table_into(
+                    layout.lines, report, run
+                )
+            finally:
+                if run is not None:
+                    run.close()
+            if freeze:
+                gc.freeze()
+        finally:
+            if enabled:
+                gc.enable()
+        try:
+            yield report, layout, estimates
+        finally:
+            if freeze:
+                gc.unfreeze()
+
     def iter_corpus_estimates(
         self, source: CorpusSource
     ) -> Iterator[RecipeEstimate]:
@@ -689,32 +760,27 @@ class ShardedCorpusEstimator:
         stays bounded by the distinct-line estimate table plus the
         layout's 4 bytes per line occurrence.
         """
-        report = self._begin_run()
-        run = self._durable_run(source)
-        self._note_run(report, run)
-        try:
-            layout = self._line_table(source, report)
-            estimates = self._estimate_table_into(layout.lines, report, run)
-        finally:
-            if run is not None:
-                run.close()
-        # Fan-out: per-distinct estimates expand to per-occurrence
-        # results in corpus order through the ordinal array, and
-        # estimate-side dead letters are renumbered to per-occurrence
-        # positions in the flattened ingredient-line stream.
-        table = [estimates[text] for text, _ in layout.lines]
-        del estimates
-        poisoned = self._pull_poisoned(report, layout.lines)
-        finish = NutritionEstimator.finish_recipe
-        occurrences = layout.occurrences
-        start = 0
-        for end, servings in zip(layout.ends, layout.servings):
-            if poisoned:
-                self._letter_occurrences(
-                    report.dead_letters, layout, poisoned, start, end
+        with self._corpus_table(source) as (report, layout, estimates):
+            # Fan-out: per-distinct estimates expand to per-occurrence
+            # results in corpus order through the ordinal array, and
+            # estimate-side dead letters are renumbered to
+            # per-occurrence positions in the flattened ingredient-line
+            # stream.
+            table = [estimates[text] for text, _ in layout.lines]
+            del estimates
+            poisoned = self._pull_poisoned(report, layout.lines)
+            finish = NutritionEstimator.finish_recipe
+            occurrences = layout.occurrences
+            start = 0
+            for end, servings in zip(layout.ends, layout.servings):
+                if poisoned:
+                    self._letter_occurrences(
+                        report.dead_letters, layout, poisoned, start, end
+                    )
+                yield finish(
+                    [table[i] for i in occurrences[start:end]], servings
                 )
-            yield finish([table[i] for i in occurrences[start:end]], servings)
-            start = end
+                start = end
 
     def corpus_diagnostics(self, source: CorpusSource) -> ReasonBreakdown:
         """Reason-code breakdown over a whole corpus (Figure 2 by cause).
@@ -725,29 +791,21 @@ class ShardedCorpusEstimator:
         every line, weighted by occurrence count, to the §II-C
         strategy that resolved or killed it.
         """
-        report = self._begin_run()
-        run = self._durable_run(source)
-        self._note_run(report, run)
-        try:
-            layout = self._line_table(source, report)
-            table = self._estimate_table_into(layout.lines, report, run)
-        finally:
-            if run is not None:
-                run.close()
-        poisoned = self._pull_poisoned(report, layout.lines)
-        if poisoned:
-            # The letters carry per-occurrence corpus positions, like
-            # the streaming path's assembly produces.
-            self._letter_occurrences(
-                report.dead_letters,
-                layout,
-                poisoned,
-                0,
-                len(layout.occurrences),
+        with self._corpus_table(source) as (report, layout, table):
+            poisoned = self._pull_poisoned(report, layout.lines)
+            if poisoned:
+                # The letters carry per-occurrence corpus positions,
+                # like the streaming path's assembly produces.
+                self._letter_occurrences(
+                    report.dead_letters,
+                    layout,
+                    poisoned,
+                    0,
+                    len(layout.occurrences),
+                )
+            return reason_breakdown_from_lines(
+                (table[text], count) for text, count in layout.lines
             )
-        return reason_breakdown_from_lines(
-            (table[text], count) for text, count in layout.lines
-        )
 
     # ------------------------------------------------------------------
     # execution backends

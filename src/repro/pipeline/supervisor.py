@@ -29,7 +29,9 @@ result, and ``imap`` waits for it forever.  One lost process aborts
 * **Ordered results** — :meth:`run` yields results in task order
   regardless of completion order, so the engine's chunk-order
   snapshot merge (the bit-identical parity requirement) is untouched
-  by retries, respawns, or scheduling.
+  by retries, respawns, or scheduling.  Idle workers get their next
+  task before a result is yielded, so no worker waits while the
+  consumer handles the result it just returned.
 
 Determinism note: retrying a chunk on a different worker cannot change
 its result — every worker rebuilds the identical estimator from the
@@ -128,8 +130,11 @@ def _worker_main(worker_id, bootstrap, handlers, task_q, result_q) -> None:
         return
     # On fork start, workers inherit the coordinator heap copy-on-
     # write; freezing keeps the worker's GC cycles from touching (and
-    # copying) inherited pages.
+    # copying) inherited pages.  A worker can also inherit a paused
+    # collector (the engine pauses it while building its estimate
+    # table, and spawns lazily), so switch it on explicitly.
     gc.freeze()
+    gc.enable()
     state = WorkerState(estimator)
     while True:
         message = task_q.get()
@@ -301,11 +306,15 @@ class SupervisedWorkerPool:
         run = _Run(epoch=self._epoch, kind=kind, payloads=payloads)
         run.backlog.extend(range(len(payloads)))
         run.attempts = dict.fromkeys(run.backlog, 0)
+        self._dispatch_backlog(run)
         n = len(payloads)
         while run.next_yield < n:
-            self._dispatch_backlog(run)
             self._pump_one_message(run)
             self._sweep(run)
+            # Hand idle workers their next task *before* yielding:
+            # the consumer decodes, journals and merges each result,
+            # and a worker freed by that result should not wait it out.
+            self._dispatch_backlog(run)
             while run.next_yield in run.results:
                 yield run.results.pop(run.next_yield)
                 run.next_yield += 1

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from repro import faults
 from repro.deadletter import (
@@ -12,8 +14,10 @@ from repro.deadletter import (
     REASON_MALFORMED_JSON,
     DeadLetterLog,
 )
-from repro.ner.corpus import TaggedPhrase
+from repro.ner.corpus import TAGS, TaggedPhrase
 from repro.recipedb.model import GroundTruth, Ingredient, Recipe
+
+T = TypeVar("T")
 
 
 def _ingredient_to_dict(ingredient: Ingredient) -> dict:
@@ -67,8 +71,7 @@ def save_recipes_jsonl(recipes: list[Recipe], path: str | Path) -> None:
             )
 
 
-def _recipe_from_line(line: str) -> Recipe:
-    data = json.loads(line)
+def _recipe_from_dict(data: dict) -> Recipe:
     return Recipe(
         recipe_id=data["recipe_id"],
         title=data["title"],
@@ -82,19 +85,103 @@ def _recipe_from_line(line: str) -> Recipe:
     )
 
 
+def _recipe_from_line(line: str) -> Recipe:
+    return _recipe_from_dict(json.loads(line))
+
+
+#: The keys :func:`_recipe_from_dict` reads at each level of a line.
+_RECIPE_KEYS = frozenset({
+    "recipe_id", "title", "cuisine", "source", "servings", "ingredients",
+    "gold_calories_per_serving",
+})
+_INGREDIENT_KEYS = frozenset({"text", "tokens", "tags", "truth"})
+_TRUTH_KEYS = frozenset({"spec_key", "ndb_no", "grams", "kcal"})
+_TAGS = frozenset(TAGS)
+
+
+def _lean_fields(data) -> tuple[str, list[str], object] | None:
+    """``(title, texts, servings)`` of a decoded line of the common
+    shape, or ``None`` for any other line.
+
+    Every check here implies the matching check of
+    :func:`_recipe_from_dict` (dicts with all keys at every level,
+    token and tag lists of one length, known tags, finite positive
+    numeric servings), so a non-``None`` result is exactly what the
+    full parse would have produced.
+    """
+    if type(data) is not dict or not data.keys() >= _RECIPE_KEYS:
+        return None
+    servings = data["servings"]
+    if type(servings) not in (int, float) or not 0 < servings < math.inf:
+        return None
+    ingredients = data["ingredients"]
+    if type(ingredients) is not list:
+        return None
+    texts = []
+    for ingredient in ingredients:
+        if (
+            type(ingredient) is not dict
+            or not ingredient.keys() >= _INGREDIENT_KEYS
+        ):
+            return None
+        truth = ingredient["truth"]
+        tokens = ingredient["tokens"]
+        tags = ingredient["tags"]
+        if (
+            type(truth) is not dict
+            or not truth.keys() >= _TRUTH_KEYS
+            or type(tokens) is not list
+            or type(tags) is not list
+            or len(tokens) != len(tags)
+        ):
+            return None
+        try:
+            known = _TAGS.issuperset(tags)
+        except TypeError:  # an unhashable tag
+            return None
+        if not known:
+            return None
+        texts.append(ingredient["text"])
+    return data["title"], texts, servings
+
+
+def recipe_fields_from_line(line: str) -> tuple[str, list[str], object]:
+    """``(title, ingredient texts, servings)`` of one corpus line.
+
+    The lean parse for estimation: equal to projecting the
+    :class:`Recipe` that :func:`_recipe_from_line` builds, without
+    building it (or its ingredients, tagged phrases and ground truth).
+    A line the fast checks cannot vouch for goes through the full
+    parse, so a bad line raises the very exception it always raised.
+    """
+    data = json.loads(line)
+    fields = _lean_fields(data)
+    if fields is None:
+        recipe = _recipe_from_dict(data)
+        fields = recipe.title, recipe.ingredient_texts, recipe.servings
+    return fields
+
+
 def iter_recipes_jsonl(
     path: str | Path,
     *,
     on_error: str = "raise",
     dead_letters: DeadLetterLog | None = None,
-) -> Iterator[Recipe]:
-    """Stream recipes from a JSONL corpus one at a time.
+    parse: Callable[[str], T] = _recipe_from_line,
+) -> Iterator[T]:
+    """Stream the records of a JSONL corpus one line at a time.
 
-    Memory stays bounded by a single recipe regardless of corpus
-    length — the sharded estimation engine reads a corpus through this
-    iterator once per run, keeping only its distinct-line table and a
-    compact per-occurrence layout for assembly, so corpora much larger
-    than RAM work.
+    Each non-blank line goes through *parse*: by default the full
+    :class:`Recipe` (tokens, tags, ground truth), or
+    :func:`recipe_fields_from_line` for the estimation paths, which
+    need only ``(title, texts, servings)`` — the sharded engine's one
+    corpus traversal and ``repro batch``'s title stream.  Both parses
+    accept and reject the same lines with the same exceptions, so
+    quarantine, fault injection and line numbering below are shared
+    and two streams over one file skip the same lines.
+
+    Memory stays bounded by a single line regardless of corpus
+    length, so corpora much larger than RAM stream.
 
     ``on_error`` controls what a malformed line does:
 
@@ -120,7 +207,7 @@ def iter_recipes_jsonl(
             # Parse outside the yield so a consumer exception thrown
             # into the generator can never be mistaken for a bad line.
             try:
-                recipe = _recipe_from_line(line)
+                record = parse(line)
             except json.JSONDecodeError as exc:
                 if on_error == "raise":
                     raise
@@ -139,7 +226,7 @@ def iter_recipes_jsonl(
                         REASON_INVALID_RECIPE, repr(exc),
                     )
                 continue
-            yield recipe
+            yield record
 
 
 def load_recipes_jsonl(path: str | Path) -> list[Recipe]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.ner.corpus import TaggedPhrase
@@ -65,6 +66,10 @@ class Recipe:
     def __post_init__(self) -> None:
         if self.servings <= 0:
             raise ValueError(f"servings must be positive: {self.servings}")
+        # json.loads accepts NaN and Infinity; neither divides a total
+        # into portions (NaN also slips past the comparison above).
+        if not self.servings < math.inf:
+            raise ValueError(f"servings must be finite: {self.servings}")
 
     @property
     def true_total_kcal(self) -> float:
