@@ -7,7 +7,7 @@ Subcommands::
     python -m repro match "red lentils" --state rinsed --explain
     python -m repro explain "1 garlic" --context "2 cloves garlic , minced"
     python -m repro generate --recipes 5 --out corpus.jsonl
-    python -m repro batch corpus.jsonl --workers 4 --jsonl --reasons
+    python -m repro batch corpus.jsonl --workers 4 --reasons
     python -m repro batch corpus.jsonl --workers 4 --run-dir runs/
     python -m repro batch --resume runs/run-20260807-.../
     python -m repro runs list runs/
@@ -17,9 +17,10 @@ Subcommands::
 
 ``explain`` renders one line's full pipeline provenance — NER tags,
 description candidates, every §II-C resolution strategy with its
-reason code.  ``batch`` runs the two-phase corpus protocol;
-``--workers N`` (N > 1) fans it out through the sharded multiprocess
-engine, ``--jsonl`` streams the corpus with bounded memory and
+reason code.  ``batch`` streams the corpus with bounded memory through
+the corpus engine, which runs the two-phase corpus protocol in process
+or, with ``--workers N`` (N > 1), fans it out to N worker processes;
+malformed lines go to a dead-letter report unless ``--strict``, and
 ``--reasons`` appends the corpus reason-code breakdown (Figure 2's
 name-vs-full gap by cause).  ``serve`` stands up the
 long-lived HTTP JSON API (``/v1/estimate``, ``/v1/estimate_batch``,
@@ -61,7 +62,6 @@ from repro.pipeline.engine import (
 )
 from repro.recipedb.corpus import (
     iter_recipes_jsonl,
-    load_recipes_jsonl,
     recipe_fields_from_line,
     save_recipes_jsonl,
 )
@@ -86,6 +86,9 @@ from repro.eval.tables import (
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.servings < 1:
+        print(f"error: --servings must be >= 1, got {args.servings}")
+        return 2
     estimator = NutritionEstimator()
     recipe = estimator.estimate_recipe(args.phrases, servings=args.servings)
     for item in recipe.ingredients:
@@ -167,10 +170,7 @@ def _raise_interrupted(signum, frame):  # noqa: ARG001
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Estimate a whole JSONL corpus through the batch pipeline."""
-    if args.passes < 1:
-        print(f"error: --passes must be >= 1, got {args.passes}")
-        return 2
+    """Estimate a whole JSONL corpus through the corpus engine."""
     if args.chunk_deadline < 0:
         print(
             "error: --chunk-deadline must be >= 0 (0 disables), got "
@@ -222,143 +222,108 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: --chunk-size must be >= 1, got {args.chunk_size}")
         return 2
 
-    spec = _spec_from_args(args)
-    use_engine = args.workers > 1 or args.jsonl or run_dir is not None
-    if use_engine and args.passes != 2:
-        print(
-            "note: the sharded corpus engine always runs the two-phase "
-            f"corpus protocol; --passes {args.passes} is ignored"
+    # Every run streams the corpus through the corpus engine: the
+    # engine traverses the file itself (once, bounded memory; in
+    # process at --workers 1), the CLI reads it once more for the
+    # titles, streaming alongside, and results print as they arrive.
+    # Estimation is lazy, so the timer spans the consuming loop.
+    quarantine = not args.strict
+    engine = ShardedCorpusEstimator(
+        _spec_from_args(args),
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        quarantine=quarantine,
+        chunk_deadline_s=args.chunk_deadline,
+        max_chunk_retries=args.max_chunk_retries,
+        run_dir=run_dir,
+        resume=resume,
+    )
+    # The engine's own lean parse: it skips exactly the lines the
+    # engine's traversal skips, so the two streams stay aligned.
+    title_stream = (
+        fields[0]
+        for fields in iter_recipes_jsonl(
+            args.path,
+            on_error="skip" if quarantine else "raise",
+            parse=recipe_fields_from_line,
         )
-
-    def show(title, est) -> None:
-        print(
-            f"{title[:40]:42} {est.per_serving.calories:9.1f} "
-            f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% mapped"
-        )
-
+    )
     n_recipes = 0
     lines = 0
     # Incremental fold, not a buffer: --reasons must not defeat the
-    # bounded memory of the streaming engine path.
+    # engine's bounded memory.
     reason_tally = ReasonTally() if args.reasons else None
-    report = None
-    if use_engine:
-        # Sharded/streaming path: the engine traverses the file itself
-        # (once, bounded memory); the CLI reads it once more for the
-        # titles, streaming alongside, and results print as they
-        # arrive.  Estimation is lazy here,
-        # so the timer necessarily spans the consuming loop.
-        quarantine = not args.strict
-        engine = ShardedCorpusEstimator(
-            spec,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            quarantine=quarantine,
-            chunk_deadline_s=args.chunk_deadline,
-            max_chunk_retries=args.max_chunk_retries,
-            run_dir=run_dir,
-            resume=resume,
-        )
-        # The engine's own lean parse: it skips exactly the lines the
-        # engine's traversal skips, so the two streams stay aligned.
-        title_stream = (
-            fields[0]
-            for fields in iter_recipes_jsonl(
-                args.path,
-                on_error="skip" if quarantine else "raise",
-                parse=recipe_fields_from_line,
-            )
-        )
-        if run_dir is not None:
-            print(f"durable run directory: {run_dir}")
-        # SIGINT/SIGTERM stop the run *resumably*: every journal frame
-        # is already fsync'd, so the handlers only need to get the
-        # dead-letter report out and stamp the manifest before exiting
-        # with EXIT_INTERRUPTED.
-        previous_handlers = {
-            signum: signal.signal(signum, _raise_interrupted)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        }
-        start = time.perf_counter()
-        try:
-            for title, est in zip(
-                title_stream,
-                engine.iter_corpus_estimates(args.path),
-            ):
-                n_recipes += 1
-                lines += len(est.ingredients)
-                if reason_tally is not None:
-                    reason_tally.add_recipe(est)
-                show(title, est)
-        except _Interrupted as exc:
-            name = signal.Signals(exc.signum).name
-            report = engine.last_report
-            if run_dir is not None:
-                if report is not None:
-                    write_report_jsonl(
-                        run_dir / REPORT_NAME,
-                        report.dead_letters,
-                        report.run_id or run_dir.name,
-                    )
-                try:
-                    mark_interrupted(run_dir)
-                except RunError:
-                    pass  # stopped before the manifest existed
-                print(
-                    f"\ninterrupted ({name}); the journal is on disk — "
-                    f"resume with:\n  repro batch --resume {run_dir}"
-                )
-            else:
-                print(f"\ninterrupted ({name})")
-            return EXIT_INTERRUPTED
-        finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-            # Release the persistent worker pool and its shared-memory
-            # artifact segment before the process reports results.
-            engine.close()
-        elapsed = time.perf_counter() - start
-        mode = f"{args.workers} worker(s), two-phase corpus protocol"
+    if run_dir is not None:
+        print(f"durable run directory: {run_dir}")
+
+    def save_dead_letters() -> None:
         report = engine.last_report
         if run_dir is not None and report is not None:
-            # The report lands on every completion — an empty file is
-            # still a statement ("this run quarantined nothing") and
-            # keeps clean-vs-resumed runs byte-diffable.
             write_report_jsonl(
                 run_dir / REPORT_NAME,
                 report.dead_letters,
                 report.run_id or run_dir.name,
             )
-    else:
-        # In-memory path: the same two-phase corpus protocol as the
-        # engine (identical results at any --workers), timed without
-        # the printing.  --passes 1 keeps the incremental single-pass
-        # behaviour.
-        recipes = load_recipes_jsonl(args.path)
-        estimator = spec.build()
-        start = time.perf_counter()
-        estimates = estimator.estimate_corpus(recipes, passes=args.passes)
-        elapsed = time.perf_counter() - start
-        for recipe, est in zip(recipes, estimates):
+
+    # SIGINT/SIGTERM stop the run *resumably*: every journal frame is
+    # already fsync'd, so the handlers only need to get the dead-letter
+    # report out and stamp the manifest before exiting with
+    # EXIT_INTERRUPTED.
+    previous_handlers = {
+        signum: signal.signal(signum, _raise_interrupted)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    start = time.perf_counter()
+    try:
+        for title, est in zip(
+            title_stream, engine.iter_corpus_estimates(args.path)
+        ):
             n_recipes += 1
             lines += len(est.ingredients)
             if reason_tally is not None:
                 reason_tally.add_recipe(est)
-            show(recipe.title, est)
-        mode = (
-            "1 pass(es)" if args.passes == 1
-            else "in-process, two-phase corpus protocol"
-        )
-
+            print(
+                f"{title[:40]:42} {est.per_serving.calories:9.1f} "
+                f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% "
+                "mapped"
+            )
+    except _Interrupted as exc:
+        name = signal.Signals(exc.signum).name
+        save_dead_letters()
+        if run_dir is not None:
+            try:
+                mark_interrupted(run_dir)
+            except RunError:
+                pass  # stopped before the manifest existed
+            print(
+                f"\ninterrupted ({name}); the journal is on disk — "
+                f"resume with:\n  repro batch --resume {run_dir}"
+            )
+        else:
+            print(f"\ninterrupted ({name})")
+        return EXIT_INTERRUPTED
+    finally:
+        for signum, handler in previous_handlers.items():
+            signal.signal(signum, handler)
+        # Release the persistent worker pool and its shared-memory
+        # artifact segment before the process reports results.
+        engine.close()
+    elapsed = time.perf_counter() - start
+    # The report lands on every completion — an empty file is still a
+    # statement ("this run quarantined nothing") and keeps
+    # clean-vs-resumed runs byte-diffable.
+    save_dead_letters()
     if n_recipes == 0:
         print("empty corpus")
         return 1
+    report = engine.last_report
     rate = lines / elapsed if elapsed > 0 else float("inf")
     print(
         f"\n{n_recipes} recipes / {lines} ingredient lines "
-        f"in {elapsed:.2f}s ({rate:.0f} lines/s, {mode})"
+        f"in {elapsed:.2f}s ({rate:.0f} lines/s, {args.workers} "
+        "worker(s), two-phase corpus protocol)"
     )
-    if report is not None and report.total_lines:
+    if report.total_lines:
         print(
             f"duplicate collapse: {report.total_lines} occurrences -> "
             f"{report.distinct_lines} distinct lines "
@@ -367,27 +332,26 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if reason_tally is not None:
         print("\nreason-code breakdown:")
         print(reason_tally.breakdown().render())
-    if report is not None:
-        supervision = {
-            k: v for k, v in report.counters().items()
-            if k != "dead_lettered" and v
-        }
-        if supervision:
-            summary = ", ".join(
-                f"{name.replace('_', ' ')}: {value}"
-                for name, value in supervision.items()
-            )
-            print(f"\nsupervision: {summary}")
-        if report.run_dir is not None:
-            print(
-                f"\ndurable run {report.run_id}: "
-                f"{report.executed_chunks} chunk(s) executed, "
-                f"{report.replayed_chunks} replayed from journal "
-                f"({report.run_dir})"
-            )
-        if report.dead_letters:
-            print("\ndead-letter report:")
-            print(report.dead_letters.render())
+    supervision = {
+        k: v for k, v in report.counters().items()
+        if k != "dead_lettered" and v
+    }
+    if supervision:
+        summary = ", ".join(
+            f"{name.replace('_', ' ')}: {value}"
+            for name, value in supervision.items()
+        )
+        print(f"\nsupervision: {summary}")
+    if report.run_dir is not None:
+        print(
+            f"\ndurable run {report.run_id}: "
+            f"{report.executed_chunks} chunk(s) executed, "
+            f"{report.replayed_chunks} replayed from journal "
+            f"({report.run_dir})"
+        )
+    if report.dead_letters:
+        print("\ndead-letter report:")
+        print(report.dead_letters.render())
     return 0
 
 
@@ -525,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             '  repro estimate --servings 4 "2 cups flour" "1 tsp salt"\n'
             '  repro explain "1 garlic" --context "2 cloves garlic , minced"\n'
             "  repro generate --recipes 200 --out corpus.jsonl\n"
-            "  repro batch corpus.jsonl --workers 4 --jsonl --reasons\n"
+            "  repro batch corpus.jsonl --workers 4 --reasons\n"
             "  repro batch corpus.jsonl --workers 4 --run-dir runs/\n"
             "  repro batch --resume runs/run-20260807-120000-00042-abc123\n"
             "  repro runs list runs/\n"
@@ -567,19 +531,15 @@ def build_parser() -> argparse.ArgumentParser:
     explain.set_defaults(func=_cmd_explain)
 
     batch = sub.add_parser(
-        "batch", help="estimate a JSONL corpus via the batch pipeline")
+        "batch", help="estimate a JSONL corpus through the corpus engine")
     batch.add_argument("path", nargs="?", default=None,
                        help="corpus written by `generate --out` "
                             "(optional with --resume: defaults to the "
                             "manifest's corpus path)")
-    batch.add_argument("--passes", type=int, default=2,
-                       help=">=2 runs the two-phase corpus protocol "
-                            "(default); 1 runs the incremental single "
-                            "pass (in-process path only)")
     batch.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the sharded corpus "
-                            "engine (>1 enables it; default 1, or the "
-                            "manifest's count with --resume)")
+                       help="worker processes for the corpus engine "
+                            "(default 1: in process; or the manifest's "
+                            "count with --resume)")
     batch.add_argument("--chunk-size", type=int, default=None, metavar="N",
                        help="distinct ingredient lines per pool chunk "
                             "(default 512, or the manifest's size with "
@@ -589,17 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="make the run durable: create "
                                  "ROOT/<run-id>/ holding a manifest, a "
                                  "crash-safe chunk journal and the "
-                                 "dead-letter report (implies the "
-                                 "engine path)")
+                                 "dead-letter report")
     durability.add_argument("--resume", default="", metavar="RUN_DIR",
                             help="resume the durable run in RUN_DIR: "
                                  "verify its manifest, replay journaled "
                                  "chunks, execute only missing ones — "
                                  "output is bit-identical to an "
                                  "uninterrupted run")
-    batch.add_argument("--jsonl", action="store_true",
-                       help="stream the corpus (bounded memory) through "
-                            "the corpus engine instead of loading it")
     batch.add_argument("--artifact", default="",
                        help="start coordinator and workers from a "
                             "build-artifact snapshot instead of "
@@ -607,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--strict", action="store_true",
                        help="abort on malformed corpus lines or "
                             "estimator errors instead of quarantining "
-                            "them to a dead-letter report (engine path "
-                            "only; the default quarantines)")
+                            "them to a dead-letter report (the default "
+                            "quarantines)")
     batch.add_argument("--chunk-deadline", type=float,
                        default=DEFAULT_CHUNK_DEADLINE_S, metavar="SECONDS",
                        help="per-chunk budget before a worker is "

@@ -69,6 +69,10 @@ POLL_INTERVAL_S = 0.02
 #: Seconds to wait for a worker to exit voluntarily at close.
 CLOSE_GRACE_S = 1.0
 
+#: Seconds an idle worker blocks on its task queue before checking
+#: that its coordinator is still alive.
+PARENT_CHECK_INTERVAL_S = 0.5
+
 
 @dataclass
 class SupervisorStats:
@@ -123,6 +127,13 @@ def _worker_main(worker_id, bootstrap, handlers, task_q, result_q) -> None:
     # must not die out from under it mid-chunk, so they ignore the
     # signal and let the coordinator wind them down through close().
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A coordinator that dies hard never sends the shutdown sentinel:
+    # an idle worker checks on it between waits and exits once it is
+    # gone, instead of blocking (and holding its stdout) for good.  The
+    # handle's liveness pipe predates the fork, so even a coordinator
+    # that dies before this line runs is seen as dead; a parent pid
+    # recorded here could already be the reaper's.
+    coordinator = mp.parent_process()
     try:
         estimator = bootstrap.build(worker_id)
     except BaseException as exc:  # noqa: BLE001 — shipped to coordinator
@@ -137,7 +148,15 @@ def _worker_main(worker_id, bootstrap, handlers, task_q, result_q) -> None:
     gc.enable()
     state = WorkerState(estimator)
     while True:
-        message = task_q.get()
+        try:
+            message = task_q.get(timeout=PARENT_CHECK_INTERVAL_S)
+        except queue.Empty:
+            if coordinator is not None and not coordinator.is_alive():
+                # Nobody will read a result still buffered for the
+                # dead coordinator; exiting must not wait to flush it.
+                result_q.cancel_join_thread()
+                return
+            continue
         if message is None:
             return
         epoch, task_id, attempt, kind, payload = message

@@ -207,68 +207,50 @@ def dispatch(
     deadline, unexpected server fault — returns a :class:`Response`,
     and every outcome is recorded in the metrics registry under its
     endpoint path (unknown paths aggregate under ``(unknown)`` so a
-    scanner cannot grow the registry without bound).  With
-    *prepared* (from :func:`dispatch_fast`) the request is taken as
-    already validated and its cache miss as already counted; the cache
-    is re-checked without counting, and *payload* is ignored.
+    scanner cannot grow the registry without bound).  Without
+    *prepared* the request first goes through :func:`dispatch_fast`,
+    which answers everything that needs no estimation work.  A
+    prepared request is taken as validated and its cache miss as
+    counted; the cache is re-checked without counting, and *payload*
+    is ignored.
     """
-    metric_name = path if path in _KNOWN_PATHS else "(unknown)"
     started = time.perf_counter()
+    if prepared is None:
+        outcome = dispatch_fast(state, method, path, payload)
+        if isinstance(outcome, Response):
+            return outcome
+        prepared = outcome
     try:
-        key: str | None = None
-        if prepared is not None:
-            endpoint, request, key = (
-                prepared.endpoint, prepared.request, prepared.key
-            )
-            cached = state.recheck_response(key)
-        else:
-            endpoint = _route(method, path)
-            request = (
-                payload if endpoint.validate is None
-                else endpoint.validate(payload)
-            )
-            cached = None
-            if endpoint.cacheable:
-                # The key is built from the *normalized* request, so
-                # byte-different but equivalent payloads share one
-                # entry.
-                key = codec.cache_key(path, request)
-                cached = state.cached_response(key)
+        cached = state.recheck_response(prepared.key)
         if cached is not None:
             state.metrics.observe(
-                metric_name, time.perf_counter() - started, cache_hit=True
+                path, time.perf_counter() - started, cache_hit=True
             )
             return Response(200, cached, cache_hit=True)
         timeout_s = state.config.request_timeout_s
         deadline = Deadline(timeout_s) if timeout_s is not None else None
-        if endpoint.cacheable:
-            with state.admission.admitted(deadline):
-                result = endpoint.invoke(state, request, deadline)
-        else:
-            result = endpoint.invoke(state, request, deadline)
-        body = codec.dumps_body(result)
-        if key is not None:
-            # Spliced bodies stay in pieces that share fragment bytes
-            # with the line memo.
-            state.store_response(
-                key,
-                result if isinstance(result, codec.SplicedBody) else body,
+        with state.admission.admitted(deadline):
+            result = prepared.endpoint.invoke(
+                state, prepared.request, deadline
             )
-        state.metrics.observe(metric_name, time.perf_counter() - started)
+        body = codec.dumps_body(result)
+        # Spliced bodies stay in pieces that share fragment bytes with
+        # the line memo.
+        state.store_response(
+            prepared.key,
+            result if isinstance(result, codec.SplicedBody) else body,
+        )
+        state.metrics.observe(path, time.perf_counter() - started)
         return Response(200, body)
     except ServiceError as exc:
         if isinstance(exc, DeadlineExceededError):
             state.note_deadline_exceeded()
-        state.metrics.observe(
-            metric_name, time.perf_counter() - started, error=True
-        )
+        state.metrics.observe(path, time.perf_counter() - started, error=True)
         return Response(
             exc.status, codec.dumps_body(exc.to_body()), headers=exc.headers()
         )
     except Exception:
         log.exception("unhandled error in %s %s", method, path)
-        state.metrics.observe(
-            metric_name, time.perf_counter() - started, error=True
-        )
+        state.metrics.observe(path, time.perf_counter() - started, error=True)
         fallback = InternalError("internal server error")
         return Response(fallback.status, codec.dumps_body(fallback.to_body()))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -20,6 +22,13 @@ class TestEstimate:
     def test_unmatched_shown(self, capsys):
         main(["estimate", "2 tsp garam masala"])
         assert "(unmatched)" in capsys.readouterr().out
+
+    def test_rejects_bad_servings(self, capsys):
+        assert main(["estimate", "--servings", "0", "1 tsp salt"]) == 2
+        assert (
+            "error: --servings must be >= 1, got 0"
+            in capsys.readouterr().out
+        )
 
 
 class TestParse:
@@ -123,6 +132,22 @@ class TestParser:
             main([])
 
 
+def _recipe_lines(out: str) -> list[str]:
+    """The per-recipe lines of a ``repro batch`` run, in order."""
+    return [line for line in out.splitlines() if "kcal/serving" in line]
+
+
+def _poisoned_corpus(tmp_path):
+    """A 6-recipe corpus and a copy whose line 3 is malformed JSON."""
+    clean = tmp_path / "clean.jsonl"
+    main(["generate", "--recipes", "6", "--seed", "11", "--out", str(clean)])
+    lines = clean.read_text().splitlines(keepends=True)
+    lines[2] = "{not json\n"
+    poisoned = tmp_path / "poisoned.jsonl"
+    poisoned.write_text("".join(lines))
+    return clean, poisoned
+
+
 class TestBatch:
     def test_batch_estimates_corpus(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -134,25 +159,23 @@ class TestBatch:
         assert "kcal/serving" in out
         assert "4 recipes" in out and "lines/s" in out
 
-    def test_batch_single_pass(self, tmp_path, capsys):
+    def test_batch_jsonl_streaming(self, tmp_path, capsys):
+        """The default run streams the JSONL corpus through the engine
+        in process."""
         path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "2", "--out", str(path)])
+        main(["generate", "--recipes", "5", "--out", str(path)])
         capsys.readouterr()
-        assert main(["batch", str(path), "--passes", "1"]) == 0
-        assert "1 pass(es)" in capsys.readouterr().out
+        assert main(["batch", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "5 recipes" in out
+        assert "1 worker(s), two-phase corpus protocol" in out
+        assert "duplicate collapse:" in out
 
     def test_batch_empty_corpus(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert main(["batch", str(path)]) == 1
         assert "empty corpus" in capsys.readouterr().out
-
-    def test_batch_rejects_bad_passes(self, tmp_path, capsys):
-        path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "2", "--out", str(path)])
-        capsys.readouterr()
-        assert main(["batch", str(path), "--passes", "0"]) == 2
-        assert "--passes must be >= 1" in capsys.readouterr().out
 
     def test_batch_sharded_workers(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -163,47 +186,38 @@ class TestBatch:
         assert "6 recipes" in out
         assert "2 worker(s), two-phase corpus protocol" in out
 
-    def test_batch_jsonl_streaming(self, tmp_path, capsys):
-        path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "5", "--out", str(path)])
-        capsys.readouterr()
-        assert main(["batch", str(path), "--jsonl"]) == 0
-        out = capsys.readouterr().out
-        assert "5 recipes" in out
-        assert "1 worker(s), two-phase corpus protocol" in out
-
     def test_batch_modes_agree_per_recipe(self, tmp_path, capsys):
-        """--workers/--jsonl change execution strategy, never results:
-        all three modes run the same two-phase corpus protocol."""
+        """--workers changes execution strategy, never results: in
+        process and across two workers the engine runs the same
+        two-phase corpus protocol."""
         path = tmp_path / "corpus.jsonl"
         main(["generate", "--recipes", "5", "--out", str(path)])
         capsys.readouterr()
-        main(["batch", str(path), "--jsonl"])
-        streamed = capsys.readouterr().out.splitlines()
-        main(["batch", str(path), "--workers", "2"])
-        sharded = capsys.readouterr().out.splitlines()
         main(["batch", str(path)])
-        classic = capsys.readouterr().out.splitlines()
+        in_process = _recipe_lines(capsys.readouterr().out)
+        main(["batch", str(path), "--workers", "2"])
+        sharded = _recipe_lines(capsys.readouterr().out)
+        assert in_process == sharded
+        assert len(in_process) == 5
 
-        # identical per-recipe lines; the trailing summary differs by
-        # mode (timing line, plus the engine modes' duplicate-collapse
-        # accounting — absent from the in-process path).
-        def recipe_lines(lines):
-            return [line for line in lines if "kcal/serving" in line]
+    def test_batch_quarantines_malformed_line(self, tmp_path, capsys):
+        """The default run dead-letters a malformed line and estimates
+        the rest exactly as if the line were absent."""
+        clean, poisoned = _poisoned_corpus(tmp_path)
+        assert main(["batch", str(clean)]) == 0
+        expected = _recipe_lines(capsys.readouterr().out)
+        assert main(["batch", str(poisoned)]) == 0
+        out = capsys.readouterr().out
+        assert "dead-letter report:" in out
+        assert "[ingest line 3] malformed-json" in out
+        assert _recipe_lines(out) == expected[:2] + expected[3:]
 
-        assert (
-            recipe_lines(streamed)
-            == recipe_lines(sharded)
-            == recipe_lines(classic)
-        )
-        assert len(recipe_lines(classic)) == 5
-
-    def test_batch_engine_ignores_passes_with_notice(self, tmp_path, capsys):
-        path = tmp_path / "corpus.jsonl"
-        main(["generate", "--recipes", "2", "--out", str(path)])
-        capsys.readouterr()
-        assert main(["batch", str(path), "--jsonl", "--passes", "3"]) == 0
-        assert "--passes 3 is ignored" in capsys.readouterr().out
+    def test_batch_strict_aborts_on_malformed_line(self, tmp_path, capsys):
+        _, poisoned = _poisoned_corpus(tmp_path)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            main(["batch", str(poisoned), "--strict"])
+        assert exc.value.doc.strip() == "{not json"
+        assert "kcal/serving" not in capsys.readouterr().out
 
     def test_batch_reasons_breakdown(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
@@ -333,4 +347,4 @@ class TestBuildArtifact:
             main(["--help"])
         out = capsys.readouterr().out
         assert "serve" in out
-        assert "batch corpus.jsonl --workers 4 --jsonl" in out
+        assert "batch corpus.jsonl --workers 4 --reasons" in out

@@ -15,10 +15,18 @@ the fork boundary to pool workers for free):
   a clean run over the corpus *minus* that line — the quarantine
   contract: a dead-lettered line behaves exactly as if absent;
 * a **corrupt JSONL line** is skipped-and-counted by ingestion when
-  asked, strict-raised by default.
+  asked, strict-raised by default;
+* a coordinator that **dies hard** leaves no pool worker behind.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -329,3 +337,88 @@ class TestEngineValidation:
 
         with pytest.raises(ValueError, match="deadline_s"):
             SupervisedWorkerPool(None, {}, 1, deadline_s=0)
+
+
+_ORPHANING_COORDINATOR = """
+import os, sys, time
+from repro.pipeline import EstimatorSpec, ShardedCorpusEstimator
+from repro.pipeline.supervisor import SupervisedWorkerPool
+
+
+def big_result(state, seconds, task_id, attempt):
+    time.sleep(seconds)
+    return bytes(1 << 20)  # far more than a pipe buffer holds
+
+
+if sys.argv[2] == "idle":
+    engine = ShardedCorpusEstimator(EstimatorSpec(), workers=2)
+    engine.ensure_pool()
+    pool = engine._pool
+else:  # one worker is still busy, and its result will find no reader
+    pool = SupervisedWorkerPool(EstimatorSpec(), {"big": big_result}, 2)
+    next(pool.run("big", [0.0, 1.0]))
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(str(w.process.pid) for w in pool._workers.values()))
+    fh.write("\\n" + (pool._segment.name if pool._segment else ""))
+os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie (an orphan's reaper
+    need not reap it)."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return not any(
+                line.startswith("State:") and "Z" in line for line in fh
+            )
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc"
+)
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("state", ["idle", "busy"])
+    def test_workers_exit_when_coordinator_dies_hard(self, tmp_path, state):
+        """A coordinator that hard-exits leaves no worker behind, and
+        its shared segment goes too: right after spawning its pool
+        (idle workers), or while a worker computes a result too large
+        to flush into a pipe nobody reads (busy)."""
+        import repro
+
+        pid_file = tmp_path / "pids.txt"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [
+                sys.executable, "-c", _ORPHANING_COORDINATOR,
+                str(pid_file), state,
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=60,
+            check=True,
+        )
+        pid_line, segment = pid_file.read_text().split("\n")
+        pids = [int(pid) for pid in pid_line.split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+            if segment:
+                while (
+                    time.monotonic() < deadline
+                    and os.path.exists(f"/dev/shm/{segment}")
+                ):
+                    time.sleep(0.05)
+                assert not os.path.exists(f"/dev/shm/{segment}")
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
