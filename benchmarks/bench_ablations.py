@@ -26,7 +26,7 @@ from repro.text.lemmatizer import lemmatize
 
 def _accuracy(corpus, tagger, config) -> float:
     estimator = NutritionEstimator(tagger=tagger, matcher_config=config)
-    estimates = estimator.estimate_corpus(corpus, passes=1)
+    estimates = estimator.estimate_corpus(corpus)
     return match_accuracy(corpus, estimates).exact_accuracy
 
 

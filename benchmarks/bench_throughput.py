@@ -7,15 +7,16 @@ ingredient lines (100 only in smoke mode):
 * uncached single-line match throughput through the inverted index
   (PR 1), against a faithful reimplementation of the seed O(|DB|)
   linear scan — the speedup denominator,
-* end-to-end batch estimation throughput (``estimate_recipes``,
-  two passes, shared parse/match caches),
+* end-to-end batch estimation throughput (the seed's two-pass
+  incremental batch loop, :func:`_seed_batch`, shared parse/match
+  caches),
 * **worker scaling** (PR 2, reshaped by ISSUE 9): the sharded
   two-phase corpus engine at 1 / 2 / 4 workers on a large
   duplication-saturated corpus — pinned chunk size, warm pool,
   ``force_pool=True`` so every count pays the same pool cost.
   Floors: >= 2x the single-process batch path at the top worker
   count, the single-process columnar table >= 1.5x a per-line
-  ``_estimate_line`` loop over the same two-phase protocol, and a
+  loop over the same two-phase protocol, and a
   monotonic non-regression gate (N workers >= 0.9x the best smaller
   count, up to the host's core count) that also runs in CI smoke
   mode,
@@ -91,7 +92,7 @@ SCALING_LINE_REUSE = 0.8
 #: small to amortize pool startup and IPC.
 MIN_WORKER_SPEEDUP = 2.0
 #: Acceptance floor: single-process columnar two-phase table vs a
-#: per-line ``_estimate_line`` loop on the same corpus, under the paper's
+#: per-line loop (:func:`_per_line_table`) on the same corpus, under the paper's
 #: trained-perceptron configuration (full mode only; the smoke
 #: corpus is too small for stable stage timings).
 MIN_COLUMNAR_SPEEDUP = 1.5
@@ -208,20 +209,60 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def _line_estimator(estimator):
+    """``estimate(text, stats)`` one line at a time, each distinct text
+    parsed once (a per-text parse memo, as the seed estimator kept)."""
+    parses: dict = {}
+
+    def estimate(text, stats=None):
+        parsed = parses.get(text)
+        if parsed is None:
+            parsed = parses[text] = estimator.parse(text)
+        return estimator._estimate_from_parsed(parsed, stats)
+
+    return estimate
+
+
+def _seed_batch(recipes, passes: int = 2) -> list:
+    """The seed's batch path — the throughput baseline.
+
+    Every pass estimates every recipe line by line against one
+    most-frequent-unit table that each resolved line updates as it
+    goes, so earlier passes populate the table the last pass reads.
+    Returns the last pass's recipe estimates.
+    """
+    estimator = NutritionEstimator()
+    estimate = _line_estimator(estimator)
+    table = UnitFallback(estimator.max_grams)
+    results: list = []
+    for _ in range(passes):
+        results = []
+        for recipe in recipes:
+            lines = []
+            for text in recipe.ingredient_texts:
+                line = estimate(text, table)
+                if line.status == STATUS_FULL:
+                    table.observe(line.parsed.name, line.resolution.unit)
+                lines.append(line)
+            results.append(
+                estimator.finish_recipe(lines, recipe.servings)
+            )
+    return results
+
+
 def _per_line_table(estimator, counts: dict[str, int]) -> dict:
-    """The two-phase protocol as a per-line ``_estimate_line`` loop —
-    the reference the columnar table is timed against."""
-    stats = UnitFallback(estimator.fallback.max_grams)
+    """The two-phase protocol as a per-line loop — the reference the
+    columnar table is timed against."""
+    estimate = _line_estimator(estimator)
+    stats = UnitFallback(estimator.max_grams)
     table = {}
     for text, count in counts.items():
-        table[text] = estimate = estimator._estimate_line(text)
-        if estimate.status == STATUS_FULL:
-            stats.observe(
-                estimate.parsed.name, estimate.resolution.unit, count
-            )
-    for text, estimate in list(table.items()):
-        if estimate.status == STATUS_NAME_ONLY:
-            table[text] = estimator._estimate_line(text, stats)
+        table[text] = line = estimate(text)
+        if line.status == STATUS_FULL:
+            stats.observe(line.parsed.name, line.resolution.unit, count)
+    for text, line in list(table.items()):
+        if line.status == STATUS_NAME_ONLY:
+            table[text] = estimate(text, stats)
     return table
 
 
@@ -244,9 +285,7 @@ def bench_worker_scaling() -> dict:
         for text in recipe.ingredient_texts:
             counts[text] = counts.get(text, 0) + 1
 
-    batch_s = _timed(
-        lambda: NutritionEstimator().estimate_recipes(recipes, passes=2)
-    )
+    batch_s = _timed(lambda: _seed_batch(recipes))
     batch_rate = n_lines / batch_s
 
     # Single-process two-phase table: per-line loop vs columnar,
@@ -442,7 +481,7 @@ def run_benchmark() -> dict:
         linear_s = _best_of(3 if n_lines <= 1000 else 1, linear_pass)
 
         def batch_pass():
-            NutritionEstimator().estimate_recipes(recipes, passes=2)
+            _seed_batch(recipes)
 
         batch_s = _timed(batch_pass)
         n_batch_lines = 2 * sum(len(r.ingredient_texts) for r in recipes)

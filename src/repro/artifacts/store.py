@@ -48,7 +48,7 @@ from repro.matching.index import DescriptionIndex
 from repro.matching.matcher import DescriptionMatcher, MatcherConfig
 from repro.matching.preprocess import PreprocessedDescription
 from repro.ner.rule_tagger import RuleBasedTagger
-from repro.units.fallback import DEFAULT_MAX_GRAMS, UnitFallback
+from repro.units.fallback import DEFAULT_MAX_GRAMS
 from repro.units.gram_weights import UnitResolver
 from repro.usda.database import NutrientDatabase
 from repro.usda.schema import FoodItem, Portion
@@ -277,7 +277,7 @@ class ArtifactSnapshot:
         return NutritionEstimator(
             database=db,
             tagger=tagger if tagger is not None else self.build_tagger(),
-            fallback=UnitFallback(max_grams),
+            max_grams=max_grams,
             cache_cap=cache_cap,
             matcher=matcher,
             resolvers=resolvers,

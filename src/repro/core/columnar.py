@@ -1,8 +1,10 @@
 """Columnar per-chunk estimation: batch the parse, keep the bits.
 
-The per-line reference path (:meth:`NutritionEstimator._estimate_line`)
-walks every stage — tokenize, NER tag, entity grouping, description
-match, unit chain — once per line.  This module reorganizes the parse
+The per-line reference — :meth:`NutritionEstimator.parse` followed by
+:meth:`NutritionEstimator._estimate_from_parsed`, the oracle in
+``tests/references.py`` — walks every stage (tokenize, NER tag, entity
+grouping, description match, unit chain) once per line.  This module,
+the estimator's only estimation path, reorganizes the parse
 *chunk-at-a-time*:
 
 1. **Parse stage** — the chunk's distinct lines are tokenized
@@ -17,8 +19,7 @@ match, unit chain — once per line.  This module reorganizes the parse
    stage 1.  Matching stays per line: the matcher's memo is filled in
    first-occurrence order, as in the per-line loop.
 
-Stage 1 neither reads nor writes the estimator's per-line parse memo
-(:meth:`NutritionEstimator._parse_cached`).  Callers hand this module
+Stage 1 keeps no parse memo across chunks.  Callers hand this module
 distinct lines — the engine collapses duplicates into a line table,
 and the service answers repeat lines from its line-outcome memo — so
 a cross-chunk parse memo would hit almost never while holding every
@@ -88,11 +89,11 @@ class ColumnarPipeline:
     ) -> list[LineOutcome]:
         """Estimate a chunk of lines; one :class:`LineOutcome` each.
 
-        Drop-in chunk equivalent of calling ``_estimate_line(text,
-        stats)`` per line (poison faults included): the
-        caller loops the outcomes in order and ``unwrap()``s, getting
-        identical estimates and identical exceptions at identical
-        positions.
+        Drop-in chunk equivalent of calling
+        ``_estimate_from_parsed(parse(text), stats)`` per line after
+        the fault plan's poison check: the caller loops the outcomes
+        in order and ``unwrap()``s, getting identical estimates and
+        identical exceptions at identical positions.
         """
         estimator = self._estimator
         outcomes: list[LineOutcome | None] = [None] * len(texts)

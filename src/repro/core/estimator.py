@@ -37,13 +37,13 @@ from repro.deadletter import DeadLetterLog
 from repro.matching.matcher import DescriptionMatcher, MatcherConfig
 from repro.matching.types import MatchResult
 from repro.ner.rule_tagger import RuleBasedTagger
-from repro.recipedb.model import Recipe
+from repro.recipedb.model import Recipe, check_servings
 from repro.text.quantity import try_parse_quantity
-from repro.units.fallback import UnitFallback
+from repro.units.fallback import DEFAULT_MAX_GRAMS, UnitFallback
 from repro.units.gram_weights import UnitResolution, UnitResolver
 from repro.text.tokenize import tokenize
 from repro.usda.database import NutrientDatabase, load_default_database
-from repro.utils import DEFAULT_CACHE_CAP, BoundedCache
+from repro.utils import DEFAULT_CACHE_CAP
 
 #: Ingredient-level mapping status (drives Figure 2's two series).
 STATUS_FULL = "matched"          # name and unit both resolved
@@ -218,7 +218,7 @@ class NutritionEstimator:
         database: NutrientDatabase | None = None,
         tagger: Tagger | None = None,
         matcher_config: MatcherConfig | None = None,
-        fallback: UnitFallback | None = None,
+        max_grams: float = DEFAULT_MAX_GRAMS,
         cache_cap: int = DEFAULT_CACHE_CAP,
         *,
         matcher: DescriptionMatcher | None = None,
@@ -231,7 +231,11 @@ class NutritionEstimator:
         skipping description preprocessing and portion normalization.
         A prebuilt matcher must wrap *database* and excludes
         *matcher_config* (the matcher already carries its config).
+        *max_grams* is the unit chain's plausibility threshold (grams
+        per ingredient line).
         """
+        if max_grams <= 0:
+            raise ValueError(f"non-positive max_grams: {max_grams}")
         self._db = database or load_default_database()
         self._tagger: Tagger = tagger or RuleBasedTagger()
         if matcher is None:
@@ -249,17 +253,8 @@ class NutritionEstimator:
                     "prebuilt matcher must wrap the estimator's database"
                 )
         self._matcher = matcher
-        self._fallback = fallback or UnitFallback()
+        self._max_grams = max_grams
         self._resolvers: dict[str, UnitResolver] = dict(resolvers or {})
-        # text -> ParsedIngredient memo for the per-line API
-        # (estimate_ingredient / estimate_recipe): tokenization + NER
-        # tagging is deterministic per tagger, and recipes repeat lines
-        # ("1 teaspoon salt").  The chunked corpus path does not use
-        # it — its callers already collapse lines to distinct ones, and
-        # the service keeps whole line outcomes in its own memo.
-        # Size-capped (FIFO) so long-running processes cannot grow
-        # without limit.
-        self._parse_cache: dict[str, ParsedIngredient] = BoundedCache(cache_cap)
         self._columnar = None  # lazy ColumnarPipeline (repro.core.columnar)
 
     @property
@@ -276,18 +271,20 @@ class NutritionEstimator:
         return self._tagger
 
     @property
-    def fallback(self) -> UnitFallback:
-        return self._fallback
+    def max_grams(self) -> float:
+        """The plausibility threshold (grams per ingredient line)."""
+        return self._max_grams
 
     @property
     def columnar(self):
         """The batched per-chunk pipeline bound to this estimator.
 
-        Built lazily (the module imports numpy-adjacent helpers) and
-        memoized; see :mod:`repro.core.columnar`.  Results are
-        bit-identical to :meth:`_estimate_line` — the columnar stages
-        only reorganize *where* work happens (per chunk instead of per
-        line), never *what* is computed.
+        Built lazily (:mod:`repro.core.columnar` imports this module,
+        so a top-level import would be circular) and memoized.
+        Results are bit-identical to :meth:`_estimate_from_parsed` over
+        :meth:`parse` per line — the columnar stages only reorganize
+        *where* work happens (per chunk instead of per line), never
+        *what* is computed.
         """
         if self._columnar is None:
             from repro.core.columnar import ColumnarPipeline
@@ -354,7 +351,7 @@ class NutritionEstimator:
             parsed,
             self._resolver(match.food.ndb_no),
             quantity,
-            self._fallback.max_grams,
+            self._max_grams,
             stats,
             recorder,
         )
@@ -362,34 +359,19 @@ class NutritionEstimator:
     # ------------------------------------------------------------------
     # per-ingredient estimate
 
-    def _parse_cached(self, text: str) -> ParsedIngredient:
-        parsed = self._parse_cache.get(text)
-        if parsed is None:
-            parsed = self.parse(text)
-            self._parse_cache[text] = parsed
-        return parsed
+    @staticmethod
+    def parse_cache_stats() -> dict:
+        """The ``caches.parse`` entry of ``/metrics``: always zeros.
 
-    def parse_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters for the parse memo (``/metrics``).
-
-        Only the per-line API probes it; corpus passes leave it at 0.
+        The estimator keeps no parse memo (the chunk pipeline parses
+        each distinct line once, and the service memoizes whole line
+        outcomes); the six keys stay because the ``/metrics`` schema
+        is additive.
         """
-        return self._parse_cache.stats()
-
-    def _estimate_line(
-        self, text: str, stats: UnitFallback | None = None
-    ) -> IngredientEstimate:
-        """Estimate one phrase without recording unit observations.
-
-        The pure, order-independent core of the pipeline: the result
-        depends only on *text* and the frozen corpus statistics
-        *stats* (``None``: no corpus-frequent-unit strategy).  The
-        corpus protocol runs the same core chunk-at-a-time through
-        :mod:`repro.core.columnar`; the public
-        :meth:`estimate_ingredient` adds the incremental observation
-        side effect.
-        """
-        return self._estimate_from_parsed(self._parse_cached(text), stats)
+        return {
+            "size": 0, "cap": 0, "hits": 0, "misses": 0,
+            "evictions": 0, "hit_rate": 0.0,
+        }
 
     def _estimate_from_parsed(
         self,
@@ -401,10 +383,13 @@ class NutritionEstimator:
     ) -> IngredientEstimate:
         """Stages 2-4 for an already-parsed phrase.
 
-        The shared tail of :meth:`_estimate_line`, the columnar chunk
-        pipeline (:mod:`repro.core.columnar`) after its batched parse
-        stage, and :func:`repro.core.explain.explain_line` — one
-        implementation, so the paths cannot drift.  *quantity_memo*
+        The pure core of the pipeline: the result depends only on
+        *parsed* and the frozen corpus statistics *stats* (``None``:
+        no corpus-frequent-unit strategy).  The shared tail of the
+        columnar chunk pipeline (:mod:`repro.core.columnar`) after its
+        batched parse stage and of
+        :func:`repro.core.explain.explain_line` — one implementation,
+        so the paths cannot drift.  *quantity_memo*
         (columnar only) caches :func:`try_parse_quantity` results per
         distinct quantity string; the function is pure, so memoization
         cannot change outcomes.  *recorder* is handed to the unit
@@ -467,18 +452,13 @@ class NutritionEstimator:
         )
 
     def estimate_ingredient(self, text: str) -> IngredientEstimate:
-        """Full pipeline for one phrase, against the incremental table.
+        """Full pipeline for one phrase: the one-line corpus table.
 
-        Reads the observations recorded so far by earlier calls and
-        records this line's resolved unit afterwards — the single-pass
-        behaviour of :meth:`estimate_recipes`.
+        The two-phase protocol over ``{text: 1}``, so the result is a
+        pure function of (database, tagger, text) and equals
+        ``estimate_recipe([text]).ingredients[0]``.
         """
-        estimate = self._estimate_line(text, self._fallback)
-        if estimate.status == STATUS_FULL:
-            self._fallback.observe(
-                estimate.parsed.name, estimate.resolution.unit
-            )
-        return estimate
+        return self.corpus_estimate_table({text: 1})[text]
 
     # ------------------------------------------------------------------
     # recipe level
@@ -489,13 +469,13 @@ class NutritionEstimator:
     ) -> RecipeEstimate:
         """Aggregate per-ingredient estimates into a recipe estimate.
 
-        Shared by :meth:`estimate_recipe` and the sharded corpus
-        engine's coordinator so both sum profiles in the identical
-        order with identical float operations (exact-parity
-        requirement).  Static: aggregation needs no estimator state.
+        Shared by :meth:`estimate_recipe`, :meth:`estimate_corpus`, the
+        sharded corpus engine's coordinator and the service so all sum
+        profiles in the identical order with identical float
+        operations (exact-parity requirement).  Static: aggregation
+        needs no estimator state.
         """
-        if servings <= 0:
-            raise ValueError(f"servings must be positive: {servings}")
+        check_servings(servings)
         total = NutritionalProfile.sum(est.profile for est in estimates)
         return RecipeEstimate(
             ingredients=tuple(estimates),
@@ -507,35 +487,17 @@ class NutritionEstimator:
     def estimate_recipe(
         self, ingredient_texts: list[str], servings: int = 1
     ) -> RecipeEstimate:
-        """Estimate a whole recipe from its ingredient phrases."""
-        if servings <= 0:
-            raise ValueError(f"servings must be positive: {servings}")
-        return self.finish_recipe(
-            [self.estimate_ingredient(text) for text in ingredient_texts],
-            servings,
-        )
+        """Estimate a whole recipe from its ingredient phrases.
 
-    def estimate_recipes(
-        self, recipes: list[Recipe], passes: int = 1
-    ) -> list[RecipeEstimate]:
-        """Batch estimation over many recipes with shared caches.
-
-        Parsing (tokenize + NER) and description matching are memoized
-        on the estimator, so a corpus where the same ingredient line
-        appears in many recipes pays the per-line cost once; subsequent
-        passes are nearly free.  With ``passes >= 2`` earlier passes
-        populate the corpus-level most-frequent-unit table (§II-C) that
-        the final pass's fallback chain consumes.
+        The recipe is its own corpus: the two-phase protocol over its
+        line counts — the table ``/v1/estimate`` computes — so the
+        result depends neither on line order nor on earlier calls.
         """
-        if passes < 1:
-            raise ValueError(f"passes must be >= 1: {passes}")
-        results: list[RecipeEstimate] = []
-        for _ in range(passes):
-            results = [
-                self.estimate_recipe(r.ingredient_texts, r.servings)
-                for r in recipes
-            ]
-        return results
+        check_servings(servings)
+        table = self.corpus_estimate_table(Counter(ingredient_texts))
+        return self.finish_recipe(
+            [table[text] for text in ingredient_texts], servings
+        )
 
     # ------------------------------------------------------------------
     # corpus level: the two-phase protocol (§II-C, sharding-exact)
@@ -571,7 +533,7 @@ class NutritionEstimator:
         Returns ``(text -> estimate, observation snapshot)``.  The
         snapshot merges across shards via :meth:`UnitFallback.merge`.
         """
-        observations = UnitFallback(self._fallback.max_grams)
+        observations = UnitFallback(self._max_grams)
         estimates: dict[str, IngredientEstimate] = {}
         items = (
             texts_with_counts
@@ -655,8 +617,7 @@ class NutritionEstimator:
         (``workers=1``) path call it.  The service runs the same
         sequence over its memoized pass-1 records
         (``ServiceState._memo_protocol``), and
-        ``tests/test_line_memo.py`` compares the two.  The
-        estimator's own incremental table is neither read nor written.
+        ``tests/test_line_memo.py`` compares the two.
         *quarantine* enables poison-line diversion in both passes (see
         :meth:`corpus_collect_estimates`).
 
@@ -675,7 +636,7 @@ class NutritionEstimator:
         estimates, snapshot = self.corpus_collect_estimates(
             items, quarantine=quarantine
         )
-        stats = UnitFallback(self._fallback.max_grams)
+        stats = UnitFallback(self._max_grams)
         stats.merge(snapshot)
         pending = [
             text
@@ -704,13 +665,10 @@ class NutritionEstimator:
         """``text -> final estimate`` from :meth:`corpus_protocol`."""
         return self.corpus_protocol(counts, quarantine=quarantine)[0]
 
-    def estimate_corpus(
-        self, recipes: list[Recipe], passes: int = 2
-    ) -> list[RecipeEstimate]:
+    def estimate_corpus(self, recipes: list[Recipe]) -> list[RecipeEstimate]:
         """Estimate many recipes with corpus-level unit statistics.
 
-        With ``passes >= 2`` (the default) this runs the two-phase
-        corpus protocol:
+        Runs the two-phase corpus protocol:
 
         1. **Collect** — every distinct ingredient line is estimated
            without the corpus fallback; lines whose unit resolves
@@ -728,14 +686,8 @@ class NutritionEstimator:
         statistic — while making the result exactly independent of
         recipe order and of sharding, which is what lets
         ``repro.pipeline`` distribute the passes across worker
-        processes with bit-identical results.  ``passes=1`` keeps the
-        single-pass incremental behaviour of
-        :meth:`estimate_recipes`.
+        processes with bit-identical results.
         """
-        if passes < 1:
-            raise ValueError(f"passes must be >= 1: {passes}")
-        if passes == 1:
-            return self.estimate_recipes(recipes, passes=1)
         counts = Counter(
             text for recipe in recipes for text in recipe.ingredient_texts
         )

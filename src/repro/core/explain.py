@@ -147,11 +147,11 @@ def explain_line(
 
     *context* lines feed the corpus-frequent-unit statistics exactly
     as the collect pass of the two-phase protocol would (weighted by
-    multiplicity); the estimator's own fallback table is never read
-    or written, so explaining cannot perturb — or be perturbed by —
-    concurrent estimation on the same estimator.  A caller that
-    already holds the context's pass-1 outcomes passes the table they
-    make as *statistics*, and the context is then only counted.
+    multiplicity), into a table of their own, so explaining cannot
+    perturb — or be perturbed by — other estimation on the same
+    estimator.  A caller that already holds the context's pass-1
+    outcomes passes the table they make as *statistics*, and the
+    context is then only counted.
     """
     context = tuple(context)
     parsed = estimator.parse(text)
@@ -167,7 +167,7 @@ def explain_line(
         )
 
     if statistics is None:
-        statistics = UnitFallback(estimator.fallback.max_grams)
+        statistics = UnitFallback(estimator.max_grams)
         if context:
             _, snapshot = estimator.corpus_collect_estimates(
                 Counter(context).items()

@@ -73,8 +73,8 @@ is built, then the finished heap is frozen for the fan-out (see
 in-process path) drive each chunk through the batched pipeline
 (:mod:`repro.core.columnar`) — chunk-wide tokenize/tag stages
 feeding the unmodified per-line tail — which is bit-identical to a
-per-line ``_estimate_line`` loop by construction and pinned
-differentially by ``tests/test_columnar_parity.py``.
+per-line ``parse`` + ``_estimate_from_parsed`` loop by construction
+and pinned differentially by ``tests/test_columnar_parity.py``.
 
 **Duplicate collapse** (ISSUE 10): the coordinator hash-conses the
 corpus's ingredient lines into the distinct-line table *before*
@@ -285,7 +285,7 @@ def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
     if plan is not None:
         plan.fire("fallback-chunk", task_id, attempt)
     if state.stats_token != stats_token:
-        stats = UnitFallback(state.estimator.fallback.max_grams)
+        stats = UnitFallback(state.estimator.max_grams)
         stats.merge(snapshot)
         state.stats = stats
         state.stats_token = stats_token

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.estimator import NutritionEstimator, Tagger
 from repro.matching.matcher import MatcherConfig
-from repro.units.fallback import DEFAULT_MAX_GRAMS, UnitFallback
+from repro.units.fallback import DEFAULT_MAX_GRAMS
 from repro.usda.database import NutrientDatabase, load_default_database
 from repro.usda.schema import FoodItem
 from repro.utils import DEFAULT_CACHE_CAP
@@ -127,6 +127,6 @@ class EstimatorSpec:
             database=self.database(),
             tagger=self.tagger,
             matcher_config=self.matcher_config,
-            fallback=UnitFallback(self.max_grams),
+            max_grams=self.max_grams,
             cache_cap=self.cache_cap,
         )

@@ -46,6 +46,20 @@ class Ingredient:
         return self.tagged.tokens
 
 
+def check_servings(servings) -> None:
+    """Raise ``ValueError`` unless *servings* is positive and finite.
+
+    The one servings check shared by :class:`Recipe` and
+    :class:`~repro.core.estimator.NutritionEstimator`.
+    """
+    if servings <= 0:
+        raise ValueError(f"servings must be positive: {servings}")
+    # json.loads accepts NaN and Infinity; neither divides a total
+    # into portions (NaN also slips past the comparison above).
+    if not servings < math.inf:
+        raise ValueError(f"servings must be finite: {servings}")
+
+
 @dataclass(frozen=True, slots=True)
 class Recipe:
     """One recipe with ground-truth nutrition.
@@ -64,12 +78,7 @@ class Recipe:
     gold_calories_per_serving: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.servings <= 0:
-            raise ValueError(f"servings must be positive: {self.servings}")
-        # json.loads accepts NaN and Infinity; neither divides a total
-        # into portions (NaN also slips past the comparison above).
-        if not self.servings < math.inf:
-            raise ValueError(f"servings must be finite: {self.servings}")
+        check_servings(self.servings)
 
     @property
     def true_total_kcal(self) -> float:

@@ -29,9 +29,10 @@ fragment bytes.
 
 Estimation runs under one lock.  The pipeline is pure Python and
 CPU-bound, so the GIL serializes the work anyway; the lock keeps the
-line memo and the estimator's matcher memo coherent across server
-threads.  Each request's unit statistics are a value built and read
-inside that request, never state shared with other requests.  Cache
+line memo and the estimator's memos (matcher, quantity) coherent
+across server threads.  None of them changes a result: each
+request's unit statistics are a value built and read inside that
+request, and the estimator holds no table of its own.  Cache
 hits and ``/healthz``/``/metrics`` never take the lock.
 """
 
@@ -548,7 +549,7 @@ class ServiceState:
         ]
         final: dict[str, IngredientEstimate] = {}
         if pending:
-            stats = UnitFallback(estimator.fallback.max_grams)
+            stats = UnitFallback(estimator.max_grams)
             for text, count in counts.items():
                 record = records[text]
                 if record.status == STATUS_FULL:
@@ -587,7 +588,7 @@ class ServiceState:
         fresh = (
             estimator.corpus_collect_estimates(misses)[0] if misses else {}
         )
-        stats = UnitFallback(estimator.fallback.max_grams)
+        stats = UnitFallback(estimator.max_grams)
         for text, count in counts.items():
             record = records.get(text)
             if record is not None:
@@ -843,14 +844,12 @@ class ServiceState:
 
         ``fragment`` is the line-outcome memo: one probe per distinct
         line of an in-process estimation request or of an explain
-        context.  It, and the parse
-        and matcher memos inside the estimator, are bumped under the
-        estimator lock; their counters are plain ints and reading
-        ints/lens is atomic, so the snapshot skips that lock —
+        context.  It and the estimator's matcher memo are bumped
+        under the estimator lock; their counters are plain ints and
+        reading ints/lens is atomic, so the snapshot skips that lock —
         ``/metrics`` must answer even while a big batch holds it.
-        The parse memo serves only the per-line API
-        (``NutritionEstimator._parse_cached``), so a service reads
-        zeros there.
+        ``parse`` always reads zeros: the estimator keeps no parse
+        memo, and the key stays because the schema is additive.
         """
         with self._cache_lock:
             response = self._response_cache.stats()

@@ -8,10 +8,11 @@ which compute the same tables the obvious way:
 * **per occurrence** — every corpus occurrence goes through
   :meth:`NutritionEstimator.corpus_estimate_table` as its own
   ``(text, 1)`` item, so nothing is collapsed;
-* **per line** — both passes loop over
-  :meth:`NutritionEstimator._estimate_line`, one line at a time, with
-  the same fault-injection and dead-letter behaviour as the chunked
-  pipeline.
+* **per line** — both passes loop over :func:`per_line_estimate`
+  (:meth:`NutritionEstimator.parse`, then the shared tail
+  :meth:`NutritionEstimator._estimate_from_parsed`), one line at a
+  time, with the same fault-injection and dead-letter behaviour as
+  the chunked pipeline.
 
 It also holds the monolithic ``/v1/estimate`` body builder
 (:func:`encode_recipe_estimate`) that the service's fragment splicing
@@ -81,16 +82,25 @@ def per_occurrence_corpus(recipes, *, quarantine=None):
 # per line
 
 
+def per_line_estimate(estimator, text, stats=None):
+    """One line through the estimator, unbatched: parse, then the tail.
+
+    The columnar pipeline's oracle: *stats* is the frozen corpus
+    table (``None``: no corpus-frequent-unit strategy).
+    """
+    return estimator._estimate_from_parsed(estimator.parse(text), stats)
+
+
 def _estimate_or_raise(estimator, text, stats=None):
     plan = faults.active_plan()
     if plan is not None:
         plan.poison(text)
-    return estimator._estimate_line(text, stats)
+    return per_line_estimate(estimator, text, stats)
 
 
 def per_line_collect(estimator, items, *, quarantine=None, ordinal_base=0):
-    """Pass 1, one ``_estimate_line`` call per item."""
-    observations = UnitFallback(estimator.fallback.max_grams)
+    """Pass 1, one :func:`per_line_estimate` call per item."""
+    observations = UnitFallback(estimator.max_grams)
     estimates = {}
     for i, (text, count) in enumerate(items):
         try:
@@ -112,12 +122,12 @@ def per_line_collect(estimator, items, *, quarantine=None, ordinal_base=0):
 
 
 def per_line_table(estimator, counts, *, quarantine=None):
-    """Both passes, one ``_estimate_line`` call per line."""
+    """Both passes, one :func:`per_line_estimate` call per line."""
     items = list(counts.items()) if isinstance(counts, dict) else list(counts)
     estimates, snapshot = per_line_collect(
         estimator, items, quarantine=quarantine
     )
-    stats = UnitFallback(estimator.fallback.max_grams)
+    stats = UnitFallback(estimator.max_grams)
     stats.merge(snapshot)
     ordinals: dict[str, int] = {}
     for i, (text, _) in enumerate(items):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from references import render_estimate_body
 from repro.cli import main
+from repro.core.estimator import NutritionEstimator
 
 
 class TestEstimate:
@@ -29,6 +31,24 @@ class TestEstimate:
             "error: --servings must be >= 1, got 0"
             in capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("phrases", [
+        ["1 bunch cilantro", "1 cup cilantro"],
+        ["1 cup cilantro", "1 bunch cilantro"],
+        ["2 cups flour", "1 tsp salt", "1 pinch salt"],
+    ])
+    def test_energy_equals_service_body(self, capsys, phrases):
+        """``repro estimate`` prints the ``/v1/estimate`` answer."""
+        assert main(["estimate", "--servings", "2", *phrases]) == 0
+        printed = next(
+            line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("energy_kcal")
+        )
+        body = json.loads(
+            render_estimate_body(NutritionEstimator(), phrases, 2)
+        )
+        assert printed == f"{body['per_serving']['energy_kcal']:.2f}"
 
 
 class TestParse:

@@ -5,7 +5,7 @@ estimation pipeline chunk-at-a-time but promises **bit-identical**
 output to the per-line reference — estimates, reason codes, traces,
 dead letters, and the position of every raised exception.  These
 tests enforce that promise differentially: the per-line
-``_estimate_line`` loop in ``tests/references.py`` is the oracle,
+``per_line_estimate`` loop in ``tests/references.py`` is the oracle,
 the production columnar path is the candidate, and every comparison is
 plain dataclass equality, which covers every provenance field
 (``IngredientEstimate`` compares parsed tokens/tags, match,
@@ -32,7 +32,12 @@ from repro.deadletter import DeadLetterLog
 from repro.matching.matcher import MatcherConfig
 from repro.ner.perceptron import AveragedPerceptronTagger
 from repro.recipedb.generator import RecipeGenerator
-from references import per_line_collect, per_line_corpus, per_line_table
+from references import (
+    per_line_collect,
+    per_line_corpus,
+    per_line_estimate,
+    per_line_table,
+)
 
 #: Hand-picked hostile lines every swept corpus includes.
 EDGE_LINES = [
@@ -148,13 +153,13 @@ class TestChunkSizes:
     def test_estimate_lines_matches_per_line_oracle(
         self, chunk_size, counts
     ):
-        """estimate_lines() in chunks vs literal _estimate_line calls."""
+        """estimate_lines() in chunks vs literal per-line estimates."""
         texts = list(counts)
         size = len(texts) if chunk_size is None else chunk_size
 
         oracle = _fresh()
         expected = [
-            oracle._estimate_line(text)
+            per_line_estimate(oracle, text)
             for text in texts
         ]
 
@@ -179,7 +184,7 @@ class TestTrainedPerceptron:
         texts = list(counts)
         oracle = _fresh(tagger=perceptron)
         expected = [
-            oracle._estimate_line(text)
+            per_line_estimate(oracle, text)
             for text in texts
         ]
         candidate = _fresh(tagger=perceptron)
@@ -209,7 +214,7 @@ class TestPoisonLines:
             for text in texts:
                 faults.active_plan().poison(text)
                 per_line.append(
-                    oracle._estimate_line(text)
+                    per_line_estimate(oracle, text)
                 )
         assert len(per_line) == 1  # milk estimated, poison raised
 
@@ -220,8 +225,8 @@ class TestPoisonLines:
             outcomes[1].unwrap()
         assert str(col_exc.value) == str(ref_exc.value)
         # Lines after the poison still estimated (per-line isolation).
-        assert outcomes[2].unwrap() == oracle._estimate_line("2 eggs")
-        assert outcomes[3].unwrap() == oracle._estimate_line("butter")
+        assert outcomes[2].unwrap() == per_line_estimate(oracle, "2 eggs")
+        assert outcomes[3].unwrap() == per_line_estimate(oracle, "butter")
 
     def test_quarantine_dead_letters_identical(self, monkeypatch, counts):
         """Two-phase + quarantine: tables and dead letters both match."""
@@ -260,7 +265,7 @@ class TestEdgeChunks:
         texts = ["1 cup milk"] * 5 + ["2 eggs", "1 cup milk"]
         oracle = _fresh()
         expected = [
-            oracle._estimate_line(text)
+            per_line_estimate(oracle, text)
             for text in texts
         ]
         outcomes = _fresh().columnar.estimate_lines(texts)

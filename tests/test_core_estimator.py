@@ -165,7 +165,7 @@ class TestEstimateIngredient:
         # "500 cups water" is implausible (>118 kg); the scan finds the
         # same cup, so resolution fails through to fallback/None.
         est = estimator.estimate_ingredient("500 cups water")
-        assert est.grams <= estimator.fallback._max_grams or est.status != STATUS_FULL
+        assert est.grams <= estimator.max_grams or est.status != STATUS_FULL
 
 
 class TestEstimateRecipe:
@@ -182,6 +182,23 @@ class TestEstimateRecipe:
     def test_bad_servings(self, estimator):
         with pytest.raises(ValueError):
             estimator.estimate_recipe(["1 cup sugar"], servings=0)
+
+    @pytest.mark.parametrize("servings", [float("nan"), float("inf")])
+    def test_non_finite_servings_rejected_before_estimation(
+        self, servings, monkeypatch
+    ):
+        """NaN would give NaN kcal and inf 0.0 kcal/serving; both
+        raise ``Recipe``'s error before any line is estimated."""
+        estimator = NutritionEstimator()
+
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("estimated before checking servings")
+
+        monkeypatch.setattr(estimator, "corpus_estimate_table", no_estimation)
+        with pytest.raises(ValueError, match="servings must be finite"):
+            estimator.estimate_recipe(["1 cup sugar"], servings=servings)
+        with pytest.raises(ValueError, match="servings must be finite"):
+            NutritionEstimator.finish_recipe([], servings)
 
     def test_empty_recipe(self, estimator):
         recipe = estimator.estimate_recipe([], servings=2)
@@ -200,36 +217,65 @@ class TestEstimateRecipe:
     def test_corpus_two_pass_fallback(self, generator):
         estimator = NutritionEstimator()
         recipes = generator.generate(30)
-        results = estimator.estimate_corpus(recipes, passes=2)
+        results = estimator.estimate_corpus(recipes)
         assert len(results) == 30
-        with pytest.raises(ValueError):
-            estimator.estimate_corpus(recipes, passes=0)
+
+
+class TestOneSemantics:
+    """``estimate_recipe`` / ``estimate_ingredient`` run the two-phase
+    protocol over their own lines: no order or history dependence."""
+
+    CILANTRO = ["1 bunch cilantro", "1 cup cilantro"]
+
+    def test_line_order_does_not_change_line_estimates(self):
+        """"1 bunch" has no gram weight for cilantro; the recipe's
+        own "1 cup" line rescues it in either order."""
+        forward = NutritionEstimator().estimate_recipe(self.CILANTRO)
+        backward = NutritionEstimator().estimate_recipe(self.CILANTRO[::-1])
+        assert forward.ingredients == backward.ingredients[::-1]
+        assert forward.per_serving == backward.per_serving
+        bunch = forward.ingredients[0]
+        assert bunch.status == STATUS_FULL and bunch.used_fallback_unit
+
+    def test_long_lived_estimator_equals_fresh_one(self, generator):
+        """Earlier, unrelated calls never change a later answer."""
+        recipes = generator.generate(15)
+        counts: dict[str, int] = {}
+        for recipe in recipes:
+            for text in recipe.ingredient_texts:
+                counts[text] = counts.get(text, 0) + 1
+        estimator = NutritionEstimator()
+        before = estimator.estimate_recipe(["1 bunch cilantro"])
+        estimator.estimate_recipe(self.CILANTRO[::-1])
+        estimator.estimate_recipe(
+            ["2 tablespoons garlic", "3 tbsp butter", "1 cup sugar"]
+        )
+        estimator.estimate_ingredient("1 cup cilantro")
+        fresh = NutritionEstimator()
+        assert estimator.estimate_recipe(["1 bunch cilantro"]) == before
+        assert before == fresh.estimate_recipe(["1 bunch cilantro"])
+        assert estimator.corpus_estimate_table(counts) == (
+            fresh.corpus_estimate_table(counts)
+        )
+
+    @pytest.mark.parametrize("text", [
+        "1 bunch cilantro", "1 cup cilantro", "2 cups all-purpose flour",
+        "2 teaspoons garam masala", "to taste", "500 cups water",
+    ])
+    def test_ingredient_is_one_line_recipe(self, estimator, text):
+        assert estimator.estimate_ingredient(text) == (
+            estimator.estimate_recipe([text]).ingredients[0]
+        )
 
 
 class TestBatchEstimation:
-    def test_estimate_recipes_matches_per_recipe_path(self, generator):
-        recipes = generator.generate(12)
-        batch = NutritionEstimator().estimate_recipes(recipes)
-        single = NutritionEstimator()
-        expected = [single.estimate_recipe(r.ingredient_texts, r.servings)
-                    for r in recipes]
-        assert [b.per_serving for b in batch] == \
-               [e.per_serving for e in expected]
-        assert [b.total for b in batch] == [e.total for e in expected]
-
-    def test_estimate_corpus_single_pass_delegates_to_batch(self, generator):
-        recipes = generator.generate(10)
-        a = NutritionEstimator().estimate_corpus(recipes, passes=1)
-        b = NutritionEstimator().estimate_recipes(recipes, passes=1)
-        assert a == b
-
     def test_estimate_corpus_matches_explicit_two_phase_protocol(
         self, generator
     ):
         """estimate_corpus == collect / merge / re-estimate / assemble
         spelled out by hand through the public phase methods."""
         recipes = generator.generate(25)
-        result = NutritionEstimator().estimate_corpus(recipes, passes=2)
+        result = NutritionEstimator().estimate_corpus(recipes)
 
         reference = NutritionEstimator()
         counts: dict[str, int] = {}
@@ -254,24 +300,6 @@ class TestBatchEstimation:
         ]
         assert result == expected
 
-    def test_corpus_table_leaves_incremental_table_alone(self, generator):
-        """The corpus protocol builds its own frozen statistics: the
-        estimator's incremental table is neither read nor written."""
-        recipes = generator.generate(15)
-        counts: dict[str, int] = {}
-        for recipe in recipes:
-            for text in recipe.ingredient_texts:
-                counts[text] = counts.get(text, 0) + 1
-        estimator = NutritionEstimator()
-        estimator.estimate_recipe(
-            ["2 tablespoons garlic", "3 tbsp butter", "1 cup sugar"]
-        )
-        before = estimator.fallback.snapshot()
-        assert before
-        table = estimator.corpus_estimate_table(counts)
-        assert estimator.fallback.snapshot() == before
-        assert table == NutritionEstimator().corpus_estimate_table(counts)
-
     def test_estimate_corpus_is_order_independent(self, generator):
         """The two-phase protocol's defining property: shuffling the
         corpus permutes the results but never changes them."""
@@ -290,15 +318,3 @@ class TestBatchEstimation:
             shuffled, NutritionEstimator().estimate_corpus(shuffled)
         ):
             assert estimate == by_id[recipe.recipe_id]
-
-    def test_estimate_recipes_validates_passes(self, generator):
-        recipes = generator.generate(2)
-        with pytest.raises(ValueError):
-            NutritionEstimator().estimate_recipes(recipes, passes=0)
-
-    def test_parse_cache_returns_equal_results(self):
-        estimator = NutritionEstimator()
-        first = estimator.estimate_ingredient("2 cups white sugar")
-        second = estimator.estimate_ingredient("2 cups white sugar")
-        assert first.parsed is second.parsed  # memoized parse
-        assert first.profile == second.profile

@@ -344,13 +344,6 @@ class TestExplainLine:
         assert with_ctx.context_lines == 2
         assert "corpus-frequent-unit" in with_ctx.render()
 
-    def test_explain_does_not_touch_live_fallback_table(self, estimator):
-        before = estimator.fallback.snapshot()
-        explain_line(
-            estimator, "1 knob butter", context=["2 tablespoons butter"]
-        )
-        assert estimator.fallback.snapshot() == before
-
     def test_unmatched_reports(self, estimator):
         no_name = explain_line(estimator, "2 cups")
         assert no_name.estimate.reason == REASON_NO_NAME

@@ -175,7 +175,7 @@ class TestEstimatorSpec:
 
     def test_build_applies_max_grams(self):
         estimator = EstimatorSpec(max_grams=123.0).build()
-        assert estimator.fallback.max_grams == 123.0
+        assert estimator.max_grams == 123.0
 
     def test_custom_database_roundtrip(self, db):
         spec = EstimatorSpec.for_database(db)
