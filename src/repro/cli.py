@@ -287,6 +287,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"kcal/serving  {100 * est.fraction_fully_mapped:5.1f}% "
                 "mapped"
             )
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # Strict mode: a bad corpus line ends the run; name the line.
+        location = getattr(exc, "corpus_location", None)
+        if location is None:
+            raise
+        detail = (
+            str(exc) if isinstance(exc, json.JSONDecodeError) else repr(exc)
+        )
+        print(f"error: {location}: {detail}")
+        return 2
     except _Interrupted as exc:
         name = signal.Signals(exc.signum).name
         save_dead_letters()

@@ -4,13 +4,19 @@ Distributes the two-phase corpus protocol of
 :meth:`NutritionEstimator.estimate_corpus` across a supervised
 process pool:
 
-1. **Collect (sharded)** — the coordinator streams the corpus once,
-   interning every ingredient line to the ordinal of its first
-   occurrence and counting it, then fans chunks of ``(text, count)``
-   out to workers.  Each worker estimates its chunk without the
-   corpus fallback and returns compact wire estimates plus a
-   mergeable unit-observation snapshot.
-2. **Merge** — snapshots merge in chunk order
+1. **Collect (sharded, overlapped with the traversal)** — the
+   coordinator streams the corpus once, interning every ingredient
+   line to the ordinal of its first occurrence, and sends each chunk
+   of distinct texts to the pool the moment the traversal has seen
+   all of it: chunk i is ordinals ``[i·chunk_size, (i+1)·chunk_size)``,
+   fixed once cut because ordinals first occur in increasing order.
+   Each worker estimates its chunk without the corpus fallback and
+   returns compact wire estimates (and its dead letters) while the
+   coordinator keeps reading.
+2. **Merge** — occurrence counts are final only when the traversal
+   ends, so the coordinator weighs the observations itself: per
+   chunk, in chunk order, it observes ``(name, unit)`` of every
+   matched line with the line's count and merges that snapshot
    (:meth:`UnitFallback.merge`), reproducing the exact table — counts
    *and* ``most_common`` tie-break order — a single process builds.
 3. **Re-estimate (sharded)** — only lines that matched a description
@@ -45,7 +51,11 @@ itself stops being a single point of failure.  Each phase-1/phase-3
 chunk result is appended — wire bytes, unit-observation snapshot,
 dead letters — to a checksummed, fsync'd journal in the run directory
 (:mod:`repro.runs`) the moment it arrives, and the merged unit tables
-are checkpointed at the phase boundary.  ``resume=True`` replays the
+are checkpointed at the phase boundary.  The chunk plan and the
+count-weighted snapshots exist only once the traversal has ended, so
+collect results that arrive earlier are held and appended after the
+plan frame, in chunk order: the journal's bytes do not depend on
+arrival times.  ``resume=True`` replays the
 journaled prefix in shard order and dispatches **only missing
 chunks** to the pool (no pool is even spawned when nothing is
 missing), which composes with the exact-parity property: a run killed
@@ -56,17 +66,20 @@ Memory is bounded by the distinct-line table plus 4 bytes per
 ingredient-line occurrence (the ordinal array) and one end offset and
 servings value per recipe: recipes are streamed (see
 :func:`repro.recipedb.corpus.iter_recipes_jsonl`) and never held, and
-each worker holds at most one chunk at a time.
+each worker holds at most one chunk at a time (chunks cut ahead of the
+workers wait as slices of the table).
 
 **Lean coordinator**: the coordinator is serial, so its own work is
 kept small and off the workers' path.  The traversal reads JSONL
 through the lean parse
 (:func:`~repro.recipedb.corpus.recipe_fields_from_line`), which
 yields ``(title, texts, servings)`` and builds no ``Recipe`` objects
-but accepts and rejects exactly the lines the full parse does; the
-pool hands an idle worker its next chunk before yielding a result;
-and automatic garbage collection is paused while the estimate table
-is built, then the finished heap is frozen for the fan-out (see
+but accepts and rejects exactly the lines the full parse does; it is
+the pool's lazy payload source, so workers estimate the first chunks
+while the rest of the corpus is still being read; the pool hands an
+idle worker its next chunk before yielding a result; and automatic
+garbage collection is paused while the estimate table is built, then
+the finished heap is frozen for the fan-out (see
 :meth:`ShardedCorpusEstimator._corpus_table`).
 
 **Columnar hot path**: workers (and the ``workers=1``
@@ -94,7 +107,10 @@ as its own ``(text, 1)`` item.  Estimate-side dead letters are
 re-numbered by the coordinator from line-table ordinals to
 per-occurrence corpus positions, so a poisoned line that occurs k
 times dead-letters k times with correct positions — and the persisted
-report is byte-identical to the reference's and across resume.
+report is byte-identical to the reference's and across resume.  The
+letters name lines by ordinal, never by their (truncated) text, so a
+valid line that shares a long prefix with a poisoned one is never
+dead-lettered.
 
 **Persistent pool** (ISSUE 9): the supervised pool outlives a single
 run.  The first pool run spawns it (workers boot from a shared-memory
@@ -119,20 +135,21 @@ import time
 import weakref
 from array import array
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from repro import __version__, faults
 from repro.core.coverage import ReasonBreakdown, reason_breakdown_from_lines
 from repro.core.estimator import (
+    STATUS_FULL,
     STATUS_NAME_ONLY,
     IngredientEstimate,
     NutritionEstimator,
     RecipeEstimate,
 )
-from repro.deadletter import MAX_INPUT_CHARS, DeadLetterLog
+from repro.deadletter import DeadLetterLog
 from repro.pipeline.spec import EstimatorSpec
 from repro.pipeline.supervisor import SupervisedWorkerPool, WorkerState
 from repro.pipeline.wire import dumps_estimates, loads_estimates
@@ -214,30 +231,46 @@ class RunReport:
 
 
 class _Ordinals(dict):
-    """``text -> ordinal``, numbering unseen texts in arrival order.
+    """``text -> ordinal``, numbering unseen texts in arrival order and
+    appending them to *texts*.
 
     Lookups of seen texts stay in C (``map(ordinals.__getitem__,
     texts)``); only a text's first occurrence runs Python code.
     """
 
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        super().__init__()
+        self.texts = texts
+
     def __missing__(self, text: str) -> int:
         self[text] = ordinal = len(self)
+        self.texts.append(text)
         return ordinal
 
 
 @dataclass(slots=True)
 class _CorpusLayout:
-    """What the engine's one corpus traversal keeps for assembly."""
+    """The distinct-line table of a run, plus what the engine's one
+    corpus traversal keeps for assembly."""
 
-    #: Distinct ``(text, count)`` in first-occurrence order; a line's
-    #: position here is its ordinal.
-    lines: list[tuple[str, int]]
+    #: Distinct texts in first-occurrence order; a line's position
+    #: here is its ordinal.
+    texts: list[str] = field(default_factory=list)
+    #: Occurrence count per ordinal; ``None`` until the traversal ends.
+    counts: list[int] | None = None
     #: Line ordinal of every ingredient-line occurrence, corpus order.
-    occurrences: array
+    occurrences: array = field(default_factory=lambda: array("I"))
     #: Per recipe, the end offset of its lines in *occurrences*.
-    ends: array
+    ends: array = field(default_factory=lambda: array("I"))
     #: Per recipe, ``servings`` exactly as parsed (never coerced).
-    servings: list
+    servings: list = field(default_factory=list)
+
+    @property
+    def lines(self) -> list[tuple[str, int]]:
+        """Distinct ``(text, count)`` in ordinal order."""
+        return list(zip(self.texts, self.counts))
 
 
 # ----------------------------------------------------------------------
@@ -245,23 +278,28 @@ class _CorpusLayout:
 # boundary by reference; each runs with the worker's WorkerState)
 
 def _collect_task(state: WorkerState, payload, task_id: int, attempt: int):
-    """Phase-1 task: wire estimates + observation snapshot for a chunk.
+    """Phase-1 task: wire estimates for a chunk of distinct texts.
 
-    ``payload`` is ``(base_ordinal, chunk, quarantine_on)``.
-    Returns ``(wire, snapshot, dead_letter_records)``.
+    ``payload`` is ``(base_ordinal, texts, quarantine_on)``.
+    Returns ``(wire, dead_letter_records)``.  The chunk is sent while
+    the coordinator is still counting occurrences, so it carries no
+    counts and its unit observations are weighed by the coordinator
+    (:func:`_chunk_observations`).
     """
-    base_ordinal, chunk, quarantine_on = payload
+    base_ordinal, texts, quarantine_on = payload
     plan = faults.active_plan()
     if plan is not None:
         plan.fire("collect-chunk", task_id, attempt)
     log = DeadLetterLog() if quarantine_on else None
-    estimates, snapshot = state.estimator.corpus_collect_estimates(
-        chunk, quarantine=log, ordinal_base=base_ordinal
+    estimates, _ = state.estimator.corpus_collect_estimates(
+        [(text, 1) for text in texts],
+        quarantine=log,
+        ordinal_base=base_ordinal,
     )
     wire = dumps_estimates(
-        [estimates[text] for text, _ in chunk], state.estimator.database
+        [estimates[text] for text in texts], state.estimator.database
     )
-    return wire, snapshot, (log.records if log is not None else ())
+    return wire, (log.records if log is not None else ())
 
 
 def _fallback_task(state: WorkerState, payload, task_id: int, attempt: int):
@@ -317,6 +355,25 @@ def _chunked(items, size: int) -> Iterator[list]:
     iterator = iter(items)
     while chunk := list(islice(iterator, size)):
         yield chunk
+
+
+def _chunk_observations(
+    estimates: list[IngredientEstimate], counts: list[int]
+) -> dict[str, dict[str, int]]:
+    """The unit-observation snapshot of one collect chunk.
+
+    What :meth:`NutritionEstimator.corpus_collect_estimates` returns
+    for the chunk's lines with their final occurrence counts: each
+    matched line observes its ``(name, unit)`` once, weighted by its
+    count, in ordinal order.
+    """
+    observations = UnitFallback()
+    for estimate, count in zip(estimates, counts):
+        if estimate.status == STATUS_FULL:
+            observations.observe(
+                estimate.parsed.name, estimate.resolution.unit, count
+            )
+    return observations.snapshot()
 
 
 class ShardedCorpusEstimator:
@@ -541,69 +598,67 @@ class ShardedCorpusEstimator:
         return self.last_report
 
     def _line_table(
-        self, source: CorpusSource, report: RunReport
-    ) -> _CorpusLayout:
-        """The run's one corpus traversal → line table and layout.
+        self, source: CorpusSource, report: RunReport, layout: _CorpusLayout
+    ) -> Iterator[list[str]]:
+        """The run's one corpus traversal, filling *layout* and cutting
+        collect chunks as it goes.
 
-        Hash-conses every ingredient line into a distinct-line table
-        with multiplicities, so all downstream work scales with the
-        distinct set: each occurrence is interned to the ordinal of
-        its line's first occurrence, and counting the ordinal array
-        afterwards runs at C speed.  The ordinals, per-recipe end
-        offsets and servings are everything assembly needs, so the
-        corpus is never parsed again.
+        Hash-conses every ingredient line into the distinct-line
+        table, so all downstream work scales with the distinct set:
+        each occurrence is interned to the ordinal of its line's first
+        occurrence.  Ordinals first occur in increasing order, so the
+        texts of ordinals ``[i·chunk_size, (i+1)·chunk_size)`` never
+        change once the traversal has seen them; chunk i is yielded
+        then, and the partial last chunk when the corpus ends.  Only
+        then are the counts final: counting the ordinal array runs at
+        C speed.  The ordinals, per-recipe end offsets and servings
+        are everything assembly needs, so the corpus is never parsed
+        again.
         """
-        ordinals = _Ordinals()
-        intern = ordinals.__getitem__
-        occurrences = array("I")
-        ends = array("I")
-        servings = []
-        for _, texts, recipe_servings in self._stream(
+        texts = layout.texts
+        intern = _Ordinals(texts).__getitem__
+        occurrences = layout.occurrences
+        size = self._chunk_size
+        cut = 0
+        for _, recipe_texts, servings in self._stream(
             source, report.dead_letters
         ):
-            occurrences.extend(map(intern, texts))
-            ends.append(len(occurrences))
-            servings.append(recipe_servings)
+            occurrences.extend(map(intern, recipe_texts))
+            layout.ends.append(len(occurrences))
+            layout.servings.append(servings)
+            while len(texts) - cut >= size:
+                yield texts[cut:cut + size]
+                cut += size
+        if len(texts) > cut:
+            yield texts[cut:]
         # Ordinals first occur in increasing order, so the counter's
         # insertion order is ordinal order.
-        counts = Counter(occurrences)
+        layout.counts = list(Counter(occurrences).values())
         report.total_lines = len(occurrences)
-        report.distinct_lines = len(ordinals)
-        return _CorpusLayout(
-            list(zip(ordinals, counts.values())), occurrences, ends, servings
-        )
+        report.distinct_lines = len(texts)
 
     @staticmethod
-    def _pull_poisoned(
-        report: RunReport, lines: list[tuple[str, int]]
-    ) -> dict[int, tuple[str, str]]:
+    def _pull_poisoned(report: RunReport) -> dict[int, tuple[str, str]]:
         """Lift estimate-source dead letters out for re-numbering.
 
         Corpus paths renumber estimate-side letters from line-table
         ordinals to per-occurrence corpus positions; this removes them
         from the report (ingest letters keep their 1-based file line
-        numbers) and returns ``line ordinal -> (reason, detail)`` for
-        every line whose truncated text a letter names.  Estimation is
-        deterministic per text, so every occurrence of a poisoned line
-        shares one reason/detail.
+        numbers) and returns ``line ordinal -> (reason, detail)``.
+        Estimation is deterministic per text, so every occurrence of a
+        poisoned line shares one reason/detail.
         """
-        poisoned: dict[str, tuple[str, str]] = {}
+        poisoned: dict[int, tuple[str, str]] = {}
         kept = []
         for letter in report.dead_letters.records:
             if letter.source == "estimate":
                 poisoned.setdefault(
-                    letter.input, (letter.reason, letter.detail)
+                    letter.line_no, (letter.reason, letter.detail)
                 )
             else:
                 kept.append(letter)
         report.dead_letters.replace(kept)
-        if not poisoned:
-            return {}
-        return {
-            ordinal: hit
-            for ordinal, (text, _) in enumerate(lines)
-            if (hit := poisoned.get(text[:MAX_INPUT_CHARS])) is not None
-        }
+        return poisoned
 
     @staticmethod
     def _letter_occurrences(
@@ -622,7 +677,7 @@ class ShardedCorpusEstimator:
                 log.add(
                     "estimate",
                     position,
-                    layout.lines[occurrences[position]][0],
+                    layout.texts[occurrences[position]],
                     hit[0],
                     hit[1],
                 )
@@ -727,14 +782,17 @@ class ShardedCorpusEstimator:
         report = self._begin_run()
         run = self._durable_run(source)
         self._note_run(report, run)
+        layout = _CorpusLayout()
         enabled = gc.isenabled()
         freeze = gc.get_freeze_count() == 0
         gc.disable()
         try:
             try:
-                layout = self._line_table(source, report)
                 estimates = self._estimate_table_into(
-                    layout.lines, report, run
+                    self._line_table(source, report, layout),
+                    layout,
+                    report,
+                    run,
                 )
             finally:
                 if run is not None:
@@ -766,9 +824,9 @@ class ShardedCorpusEstimator:
             # estimate-side dead letters are renumbered to
             # per-occurrence positions in the flattened ingredient-line
             # stream.
-            table = [estimates[text] for text, _ in layout.lines]
+            table = [estimates[text] for text in layout.texts]
             del estimates
-            poisoned = self._pull_poisoned(report, layout.lines)
+            poisoned = self._pull_poisoned(report)
             finish = NutritionEstimator.finish_recipe
             occurrences = layout.occurrences
             start = 0
@@ -792,7 +850,7 @@ class ShardedCorpusEstimator:
         strategy that resolved or killed it.
         """
         with self._corpus_table(source) as (report, layout, table):
-            poisoned = self._pull_poisoned(report, layout.lines)
+            poisoned = self._pull_poisoned(report)
             if poisoned:
                 # The letters carry per-occurrence corpus positions,
                 # like the streaming path's assembly produces.
@@ -827,20 +885,32 @@ class ShardedCorpusEstimator:
         report = self._begin_run()
         report.total_lines = sum(counts.values())
         report.distinct_lines = len(counts)
-        return self._estimate_table_into(list(counts.items()), report)
+        layout = _CorpusLayout(
+            texts=list(counts), counts=list(counts.values())
+        )
+        return self._estimate_table_into(
+            _chunked(layout.texts, self._chunk_size), layout, report
+        )
 
     def _estimate_table_into(
         self,
-        lines: list[tuple[str, int]],
+        chunks: Iterable[list[str]],
+        layout: _CorpusLayout,
         report: RunReport,
         run: DurableRun | None = None,
     ) -> dict[str, IngredientEstimate]:
+        """The two-phase protocol over *layout*'s distinct-line table,
+        whose collect chunks *chunks* produces; *layout* is complete
+        once *chunks* is exhausted."""
         if run is None and self._workers == 1 and not self._force_pool:
-            return self._run_local(lines, report)
+            # In process, the protocol starts from the finished table.
+            for _ in chunks:
+                pass
+            return self._run_local(layout.lines, report)
         # A durable run always takes the chunked pool path, even at
         # workers=1: journaling and replay are defined over the chunk
         # plan, and a full replay never spawns a worker anyway.
-        return self._run_pool(lines, report, run)
+        return self._run_pool(chunks, layout, report, run)
 
     def _run_local(
         self, lines: list[tuple[str, int]], report: RunReport
@@ -880,30 +950,17 @@ class ShardedCorpusEstimator:
 
     def _run_pool(
         self,
-        lines: list[tuple[str, int]],
+        chunks: Iterable[list[str]],
+        layout: _CorpusLayout,
         report: RunReport,
         run: DurableRun | None = None,
     ) -> dict[str, IngredientEstimate]:
         foods = self._food_list()
-        merged_fallback = UnitFallback(self._spec.max_grams)
+        size = self._chunk_size
+        texts = layout.texts
         estimates: dict[str, IngredientEstimate] = {}
-        chunks = list(_chunked(lines, self._chunk_size))
         quarantine_on = self._quarantine
-        if run is not None:
-            run.begin(
-                n_chunks=len(chunks),
-                distinct_lines=len(lines),
-                chunk_size=self._chunk_size,
-            )
-        if not chunks:
-            # Even an empty run freezes (an empty) unit table; give it
-            # a digest so downstream cache tokens never see None.
-            report.stats_digest = snapshot_digest(UnitFallback().snapshot())
-            if run is not None and not run.complete:
-                run.record_complete(
-                    {**report.counters(), **report.journal_counters()}
-                )
-            return estimates
+        replay = run.collect if run is not None else {}
 
         # The pool is acquired lazily: a resume whose journal already
         # covers every chunk is pure replay and spawns no workers.
@@ -935,40 +992,95 @@ class ShardedCorpusEstimator:
                 )
             return decoded
 
-        try:
-            # Phase 1+2: collect shards, merge snapshots in chunk
-            # order.  The supervised pool yields results in task order
-            # even when a retry finishes out of sequence, so the merge
-            # order — and therefore the tie-break-exact table — is
-            # independent of failures; journal replay slots into the
-            # same chunk-order merge, with only the missing chunk
-            # indices (in increasing order) dispatched to workers.
-            replay = run.collect if run is not None else {}
-            missing = [i for i in range(len(chunks)) if i not in replay]
-            payloads = [
-                (i * self._chunk_size, chunks[i], quarantine_on)
-                for i in missing
-            ]
-            executed = (
-                ensure_pool().run("collect-chunk", payloads)
-                if payloads
-                else iter(())
-            )
+        # Chunk indices sent to the pool, in order (task k is chunk
+        # dispatched[k]); journaled chunks are never sent.
+        dispatched: list[int] = []
+
+        def collect_payloads():
             for i, chunk in enumerate(chunks):
+                if i not in replay:
+                    dispatched.append(i)
+                    yield i * size, chunk, quarantine_on
+
+        # Collect results waiting for final counts, in chunk order
+        # (the wire only for the journal), and the settled ones:
+        # chunk -> (estimates, letters, snapshot).
+        held: list[tuple[int, bytes | None, list, list]] = []
+        settled: dict[int, tuple[list, list, dict]] = {}
+        planned = False
+
+        def settle() -> None:
+            """Weigh the held results' observations by the final
+            counts and journal them after the plan frame, in chunk
+            order.  Only valid once the traversal has ended."""
+            nonlocal planned
+            if run is not None and not planned:
+                run.begin(
+                    n_chunks=-(-len(texts) // size),
+                    distinct_lines=len(texts),
+                    chunk_size=size,
+                )
+                planned = True
+            for i, wire, decoded, letters in held:
+                start = i * size
+                snapshot = _chunk_observations(
+                    decoded, layout.counts[start:start + size]
+                )
+                if run is not None:
+                    run.record_collect(i, wire, snapshot, letters)
+                settled[i] = (decoded, letters, snapshot)
+            held.clear()
+
+        try:
+            # Phase 1, overlapped with the traversal: the pool draws
+            # collect payloads from it lazily, so workers estimate the
+            # first chunks while the coordinator reads on, and yields
+            # results in task order even when a retry finishes out of
+            # sequence.  A chunk's result is held until the traversal
+            # ends; after that, each one settles as it arrives.
+            payloads = collect_payloads()
+            first = next(payloads, None)
+            if first is not None:
+                results = ensure_pool().run(
+                    "collect-chunk", chain((first,), payloads)
+                )
+                for k, (wire, letters) in enumerate(results):
+                    i = dispatched[k]
+                    held.append((
+                        i,
+                        wire if run is not None else None,
+                        loads_estimates(wire, foods),
+                        list(letters),
+                    ))
+                    if layout.counts is not None:
+                        settle()
+            settle()
+            if not texts:
+                # Even an empty run freezes (an empty) unit table; give
+                # it a digest so downstream cache tokens never see None.
+                report.stats_digest = snapshot_digest(
+                    UnitFallback().snapshot()
+                )
+                if run is not None and not run.complete:
+                    run.record_complete(
+                        {**report.counters(), **report.journal_counters()}
+                    )
+                return estimates
+            # Phase 2: merge the chunks' snapshots in chunk order, the
+            # journal's replayed ones in their slots, which reproduces
+            # the tie-break-exact table whatever the failures.
+            merged_fallback = UnitFallback(self._spec.max_grams)
+            for i, chunk in enumerate(_chunked(texts, size)):
                 if i in replay:
                     wire, snapshot, letters = replay[i]
                     decoded = replay_decode(wire, len(chunk), "collect", i)
                     report.replayed_chunks += 1
                 else:
-                    wire, snapshot, letters = next(executed)
-                    decoded = loads_estimates(wire, foods)
-                    if run is not None:
-                        run.record_collect(i, wire, snapshot, list(letters))
+                    decoded, letters, snapshot = settled.pop(i)
                     report.executed_chunks += 1
                 merged_fallback.merge(snapshot)
                 report.dead_letters.extend(list(letters))
-                for (text, _), estimate in zip(chunk, decoded):
-                    estimates[text] = estimate
+                estimates.update(zip(chunk, decoded))
             # Phase boundary: checkpoint the merged unit tables — or,
             # on a resume that already holds a checkpoint, cross-check
             # it against the tables just merged from replay.  A
@@ -991,16 +1103,12 @@ class ShardedCorpusEstimator:
             # of the phase-1 estimates, so a resume recomputes the
             # identical fallback chunking and can address journaled
             # phase-3 frames by chunk index.
-            ordinals: dict[str, int] = {}
-            for i, (text, _) in enumerate(lines):
-                if text not in ordinals:
-                    ordinals[text] = i
             pending = [
-                (ordinals[text], text)
-                for text, estimate in estimates.items()
-                if estimate.status == STATUS_NAME_ONLY
+                (ordinal, text)
+                for ordinal, text in enumerate(texts)
+                if estimates[text].status == STATUS_NAME_ONLY
             ]
-            fallback_chunks = list(_chunked(pending, self._chunk_size))
+            fallback_chunks = list(_chunked(pending, size))
             fb_replay = run.fallback if run is not None else {}
             fb_missing = [
                 i for i in range(len(fallback_chunks)) if i not in fb_replay

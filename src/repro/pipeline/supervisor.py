@@ -32,6 +32,11 @@ result, and ``imap`` waits for it forever.  One lost process aborts
   by retries, respawns, or scheduling.  Idle workers get their next
   task before a result is yielded, so no worker waits while the
   consumer handles the result it just returned.
+* **Lazy sources** — :meth:`run` takes any iterable of payloads and
+  draws one per loop turn, polling for results without blocking
+  while the source still produces; so a source that does work to
+  produce each payload (the engine's corpus traversal) overlaps with
+  the workers, and results come back while it is still running.
 
 Determinism note: retrying a chunk on a different worker cannot change
 its result — every worker rebuilds the identical estimator from the
@@ -55,7 +60,7 @@ import queue
 import signal
 import time
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.pipeline.errors import ChunkRetriesExhaustedError
@@ -65,6 +70,9 @@ from repro.pipeline.spec import EstimatorSpec
 #: Seconds the result loop blocks on the result queue before running a
 #: supervision sweep (liveness + deadlines).
 POLL_INTERVAL_S = 0.02
+
+#: End-of-source marker for :meth:`SupervisedWorkerPool.run`.
+_EXHAUSTED = object()
 
 #: Seconds to wait for a worker to exit voluntarily at close.
 CLOSE_GRACE_S = 1.0
@@ -183,7 +191,8 @@ class _Run:
 
     epoch: int
     kind: str
-    payloads: Sequence
+    #: Payloads drawn from the source so far; task id == index.
+    payloads: list = field(default_factory=list)
     backlog: deque = field(default_factory=deque)
     attempts: dict[int, int] = field(default_factory=dict)
     results: dict[int, object] = field(default_factory=dict)
@@ -314,21 +323,36 @@ class SupervisedWorkerPool:
     # ------------------------------------------------------------------
     # execution
 
-    def run(self, kind: str, payloads: Sequence) -> Iterator:
+    def run(self, kind: str, payloads: Iterable) -> Iterator:
         """Execute *payloads* under *kind*'s handler; yield results in
-        task order (task id == payload index)."""
+        task order (task id == payload index).
+
+        *payloads* is drawn lazily, one per loop turn.  While it still
+        produces, each turn only polls for results, so whatever work
+        the source does to produce a payload runs while the workers
+        execute the ones already sent; once it is exhausted, the loop
+        blocks on results as usual.
+        """
         if self._closed:
             raise RuntimeError("pool is closed")
-        if not payloads:
-            return
         self._epoch += 1
-        run = _Run(epoch=self._epoch, kind=kind, payloads=payloads)
-        run.backlog.extend(range(len(payloads)))
-        run.attempts = dict.fromkeys(run.backlog, 0)
-        self._dispatch_backlog(run)
-        n = len(payloads)
-        while run.next_yield < n:
-            self._pump_one_message(run)
+        run = _Run(epoch=self._epoch, kind=kind)
+        source = iter(payloads)
+        while source is not None or run.next_yield < len(run.payloads):
+            if source is not None:
+                payload = next(source, _EXHAUSTED)
+                if payload is _EXHAUSTED:
+                    source = None
+                else:
+                    task_id = len(run.payloads)
+                    run.payloads.append(payload)
+                    run.attempts[task_id] = 0
+                    run.backlog.append(task_id)
+            if source is None:
+                self._pump_one_message(run, POLL_INTERVAL_S)
+            else:
+                while self._pump_one_message(run, None):
+                    pass
             self._sweep(run)
             # Hand idle workers their next task *before* yielding:
             # the consumer decodes, journals and merges each result,
@@ -368,11 +392,17 @@ class SupervisedWorkerPool:
                 )
             )
 
-    def _pump_one_message(self, run: _Run) -> None:
+    def _pump_one_message(self, run: _Run, timeout: float | None) -> bool:
+        """Handle one result-queue message, waiting up to *timeout*
+        seconds for it (``None``: only take one already there).
+        Returns whether a message was handled."""
         try:
-            message = self._result_q.get(timeout=POLL_INTERVAL_S)
+            if timeout is None:
+                message = self._result_q.get_nowait()
+            else:
+                message = self._result_q.get(timeout=timeout)
         except queue.Empty:
-            return
+            return False
         tag = message[0]
         if tag == "init_error":
             # A worker (initial or respawned) cannot build its
@@ -391,7 +421,7 @@ class SupervisedWorkerPool:
             # a task that already completed via retry.  The worker is
             # healthy again either way; the payload is discardable
             # (retried results are bit-identical by construction).
-            return
+            return True
         if tag == "error":
             # A task-level exception (not a crash) is deterministic —
             # the same input would fail on every worker — so it
@@ -400,6 +430,7 @@ class SupervisedWorkerPool:
             raise payload
         run.done.add(task_id)
         run.results[task_id] = payload
+        return True
 
     def _sweep(self, run: _Run) -> None:
         """Liveness + deadline pass over every worker."""

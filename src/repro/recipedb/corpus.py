@@ -162,6 +162,13 @@ def recipe_fields_from_line(line: str) -> tuple[str, list[str], object]:
     return fields
 
 
+def _locate(exc: Exception, path, line_no: int, reason: str) -> None:
+    """Name the corpus line *exc* arose on, keeping its type and
+    message (see :func:`iter_recipes_jsonl`)."""
+    exc.corpus_location = f"{path} line {line_no}: {reason}"
+    exc.add_note(exc.corpus_location)
+
+
 def iter_recipes_jsonl(
     path: str | Path,
     *,
@@ -186,7 +193,11 @@ def iter_recipes_jsonl(
     ``on_error`` controls what a malformed line does:
 
     * ``"raise"`` (default) — propagate, aborting the stream mid-way:
-      strict mode, bit-compatible with the seed behaviour.
+      strict mode, bit-compatible with the seed behaviour.  The
+      exception keeps its type and message; it gains a note and a
+      ``corpus_location`` attribute, ``"<path> line N: <reason>"``,
+      naming the 1-based file line and its reason code (the JSON
+      decoder's own position is within the line, not the file).
     * ``"skip"`` — quarantine the line and continue.  Each skipped
       line is recorded in *dead_letters* (when given) with its 1-based
       file line number and a reason code: ``malformed-json`` for
@@ -210,6 +221,7 @@ def iter_recipes_jsonl(
                 record = parse(line)
             except json.JSONDecodeError as exc:
                 if on_error == "raise":
+                    _locate(exc, path, line_no, REASON_MALFORMED_JSON)
                     raise
                 if dead_letters is not None:
                     dead_letters.add(
@@ -219,6 +231,7 @@ def iter_recipes_jsonl(
                 continue
             except (KeyError, TypeError, ValueError) as exc:
                 if on_error == "raise":
+                    _locate(exc, path, line_no, REASON_INVALID_RECIPE)
                     raise
                 if dead_letters is not None:
                     dead_letters.add(

@@ -234,10 +234,43 @@ class TestBatch:
 
     def test_batch_strict_aborts_on_malformed_line(self, tmp_path, capsys):
         _, poisoned = _poisoned_corpus(tmp_path)
-        with pytest.raises(json.JSONDecodeError) as exc:
-            main(["batch", str(poisoned), "--strict"])
-        assert exc.value.doc.strip() == "{not json"
-        assert "kcal/serving" not in capsys.readouterr().out
+        assert main(["batch", str(poisoned), "--strict"]) == 2
+        out = capsys.readouterr().out
+        assert f"error: {poisoned} line 3: malformed-json: " in out
+        assert "kcal/serving" not in out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("bad_line", "expected"),
+        [
+            (
+                "{not json\n",
+                "malformed-json: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            ('{"title": "no other keys"}\n', "invalid-recipe: KeyError("),
+        ],
+        ids=["malformed-json", "invalid-recipe"],
+    )
+    def test_batch_strict_names_the_bad_corpus_line(
+        self, tmp_path, capsys, workers, bad_line, expected
+    ):
+        """A bad line far into the corpus (the first collect chunk has
+        long been sent) is reported by its file line, in one line."""
+        path = tmp_path / "corpus.jsonl"
+        main(["generate", "--recipes", "150", "--seed", "11",
+              "--out", str(path)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[139] = bad_line
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["batch", str(path), "--strict", "--workers", workers])
+        assert code == 2
+        (error,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("error:")
+        ]
+        assert error.startswith(f"error: {path} line 140: {expected}")
 
     def test_batch_reasons_breakdown(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"

@@ -28,6 +28,7 @@ tokens, match, resolution, grams, profile, reason and trace.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -35,8 +36,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from references import per_occurrence_corpus, per_occurrence_protocol
+from repro.core.estimator import STATUS_FULL
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
-from repro.deadletter import DeadLetterLog
+from repro.deadletter import MAX_INPUT_CHARS, DeadLetterLog
 from repro.pipeline import ShardedCorpusEstimator
 from repro.recipedb.corpus import save_recipes_jsonl
 from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
@@ -159,6 +161,35 @@ class TestDeadLetterExpansion:
         )
         assert engine[0] == reference[0]
         assert engine[1] == reference[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_long_prefix_is_not_dead_lettered(
+        self, monkeypatch, corpus, workers
+    ):
+        """Letters name lines by ordinal: a valid line whose first
+        ``MAX_INPUT_CHARS`` characters equal a poisoned line's is not
+        dead-lettered with it."""
+        prefix = "2 cups all-purpose flour , " + ", ".join(
+            ["sifted twice"] * 20
+        )
+        assert len(prefix) > MAX_INPUT_CHARS
+        template = corpus[0].ingredients[0]
+        recipes = [
+            dataclasses.replace(
+                corpus[0],
+                ingredients=(dataclasses.replace(template, text=text),),
+            )
+            for text in (prefix + " zzpoison", prefix + " extra")
+        ]
+        monkeypatch.setenv("REPRO_FAULTS", "raise@estimate-line:zzpoison")
+        with ShardedCorpusEstimator(
+            workers=workers, quarantine=True
+        ) as engine:
+            estimates = engine.estimate_corpus(recipes)
+            letters = engine.last_report.dead_letters.records
+        assert [letter.line_no for letter in letters] == [0]
+        assert estimates[0].ingredients[0].reason == REASON_ESTIMATOR_ERROR
+        assert estimates[1].ingredients[0].status == STATUS_FULL
 
 
 class TestDurableDedup:

@@ -70,3 +70,61 @@ class TestEstimatorProperties:
         many = estimator.estimate_recipe(phrases, servings=servings)
         assert many.per_serving.calories == pytest.approx(
             one.per_serving.calories / servings)
+
+
+class TestWireCodecProperties:
+    """``loads_estimates(dumps_estimates(x, db), db) == x`` for any
+    estimates the pipeline produces."""
+
+    #: One line per status the wire must carry besides the generated
+    #: ones: unmatched, name-only (no unit, no corpus statistics).
+    FIXED = ["2 tsp garam masala", "salt"]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 10_000), n_recipes=st.integers(1, 3),
+           poisoned=st.integers(0, 50))
+    def test_round_trip_is_field_for_field(
+        self, estimator, seed, n_recipes, poisoned
+    ):
+        import dataclasses
+        from collections import Counter
+
+        from repro.core.estimator import (
+            STATUS_FULL,
+            STATUS_NAME_ONLY,
+            STATUS_UNMATCHED,
+            quarantined_estimate,
+        )
+        from repro.pipeline.wire import dumps_estimates, loads_estimates
+
+        recipes = RecipeGenerator(
+            config=GeneratorConfig(seed=seed)
+        ).generate(n_recipes)
+        counts = Counter(
+            [t for r in recipes for t in r.ingredient_texts] + self.FIXED
+        )
+        collected, _ = estimator.corpus_collect_estimates(counts.items())
+        final = estimator.corpus_estimate_table(counts)
+        texts = list(counts)
+        estimates = [
+            *collected.values(),
+            *final.values(),
+            quarantined_estimate(
+                texts[poisoned % len(texts)], RuntimeError("boom")
+            ),
+        ]
+        assert {e.status for e in estimates} >= {
+            STATUS_FULL, STATUS_NAME_ONLY, STATUS_UNMATCHED,
+        }
+        decoded = loads_estimates(
+            dumps_estimates(estimates, estimator.database),
+            estimator.database,
+        )
+        assert len(decoded) == len(estimates)
+        for got, want in zip(decoded, estimates):
+            assert type(got) is type(want)
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(
+                    want, field.name
+                ), field.name
