@@ -14,9 +14,11 @@ has answered one request:
   cost every worker and every service restart would pay without the
   artifact — against loading the captured weight matrix.
 
-Two spans are recorded per run: ``import_s`` (interpreter imports) and
-``ready_s`` (build-or-load plus one warm-up estimate); speedups are
-reported for both the ready span and the whole process.  The ≥ 5x
+Two spans are recorded per run: ``import_s`` (interpreter imports,
+including the numpy-backed perceptron module in the paper
+configuration) and ``ready_s`` (build-or-load plus one warm-up
+estimate); speedups are reported for both the ready span and the
+whole process.  The ≥ 5x
 acceptance floor applies to the **paper configuration** — its build
 path constructs the perceptron weight matrix from sources, which is
 precisely the state the artifact exists to capture (measured ≥ 100x
@@ -72,6 +74,10 @@ import time
 T0 = time.perf_counter()
 import json, os, sys
 from repro.pipeline.spec import EstimatorSpec
+if os.environ["REPRO_COLDSTART_TAGGER"] == "perceptron":
+    # numpy-backed and a lazy package export, so no repro import above
+    # loads it; both modes of the paper configuration need it.
+    import repro.ner.perceptron
 T_IMPORT = time.perf_counter()
 
 mode = os.environ["REPRO_COLDSTART_MODE"]
@@ -104,12 +110,15 @@ print(json.dumps({
 """
 
 
-def _run_child(mode: str, artifact: str = "", train: int = 0) -> dict:
+def _run_child(
+    mode: str, tagger: str, artifact: str = "", train: int = 0
+) -> dict:
     """Best-of-REPEATS timing of one cold-start mode."""
     env = {
         **os.environ,
         "PYTHONPATH": _SRC,
         "REPRO_COLDSTART_MODE": mode,
+        "REPRO_COLDSTART_TAGGER": tagger,
         "REPRO_COLDSTART_ARTIFACT": artifact,
         "REPRO_COLDSTART_TRAIN": str(train),
         "REPRO_COLDSTART_EPOCHS": str(TRAIN_EPOCHS),
@@ -164,14 +173,14 @@ def run_benchmark() -> dict:
         default_artifact, perceptron_artifact = _build_artifacts(Path(tmp))
         default = _series(
             "default (rule tagger)",
-            _run_child("build"),
-            _run_child("load", artifact=default_artifact),
+            _run_child("build", "rule"),
+            _run_child("load", "rule", artifact=default_artifact),
             default_artifact,
         )
         perceptron = _series(
             "paper (trained perceptron)",
-            _run_child("build", train=TRAIN_PHRASES),
-            _run_child("load", artifact=perceptron_artifact),
+            _run_child("build", "perceptron", train=TRAIN_PHRASES),
+            _run_child("load", "perceptron", artifact=perceptron_artifact),
             perceptron_artifact,
         )
     return {

@@ -37,6 +37,7 @@ APIs.
 # engine's run manifests) read it during their own import.
 __version__ = "1.1.0"
 
+from repro._lazy import lazy_exports
 from repro.core.estimator import (
     IngredientEstimate,
     NutritionEstimator,
@@ -46,8 +47,13 @@ from repro.core.estimator import (
 from repro.core.profile import NutritionalProfile
 from repro.matching.matcher import DescriptionMatcher, MatcherConfig
 from repro.pipeline import EstimatorSpec, ShardedCorpusEstimator
-from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.usda.database import NutrientDatabase, load_default_database
+
+# The corpus generator is for building test corpora, not for estimating.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "GeneratorConfig": "repro.recipedb.generator",
+    "RecipeGenerator": "repro.recipedb.generator",
+})
 
 __all__ = [
     "IngredientEstimate",

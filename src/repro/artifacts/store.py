@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import os
 from collections.abc import Iterable
@@ -342,6 +343,11 @@ def load_artifact(path: str | Path, cache: bool = True) -> ArtifactSnapshot:
 def _load_uncached(path: str) -> ArtifactSnapshot:
     payload = read_artifact_bytes(path)
     _validate_schema(path, payload)
+    if payload["tagger"]["kind"] == "perceptron":
+        # numpy-backed, and no package import loads it.  A coordinator
+        # loads its snapshot before it forks the pool, so importing it
+        # here lets every worker inherit it instead of importing it.
+        importlib.import_module("repro.ner.perceptron")
     return ArtifactSnapshot(path, payload)
 
 

@@ -66,7 +66,6 @@ from repro.recipedb.corpus import (
     save_recipes_jsonl,
 )
 from repro.deadletter import REPORT_NAME, write_report_jsonl
-from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 from repro.runs import (
     RunError,
     RunManifest,
@@ -77,12 +76,6 @@ from repro.runs import (
 )
 from repro.service import ServiceConfig, serve
 from repro.service.state import DEFAULT_RESPONSE_CACHE_CAP
-from repro.eval.tables import (
-    render_table_i,
-    render_table_ii,
-    render_table_iii,
-    render_table_iv,
-)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -392,6 +385,8 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
+
     generator = RecipeGenerator(config=GeneratorConfig(seed=args.seed))
     recipes = generator.generate(args.recipes)
     if args.out:
@@ -442,7 +437,7 @@ def _cmd_build_artifact(args: argparse.Namespace) -> int:
             print(f"error: --epochs must be >= 1, got {args.epochs}")
             return 2
         from repro.ner.perceptron import AveragedPerceptronTagger
-        from repro.recipedb.generator import RecipeGenerator as _Gen
+        from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
 
         print(
             f"training averaged perceptron "
@@ -451,7 +446,7 @@ def _cmd_build_artifact(args: argparse.Namespace) -> int:
             flush=True,
         )
         start = time.perf_counter()
-        generator = _Gen(config=GeneratorConfig(seed=args.seed))
+        generator = RecipeGenerator(config=GeneratorConfig(seed=args.seed))
         phrases = [
             item.tagged
             for item in generator.generate_phrases(args.train_phrases)
@@ -476,6 +471,13 @@ def _cmd_build_artifact(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from repro.eval.tables import (
+        render_table_i,
+        render_table_ii,
+        render_table_iii,
+        render_table_iv,
+    )
+
     for title, render in (
         ("Table I — NER tag extraction", render_table_i),
         ("Table II — USDA-SR description examples", render_table_ii),

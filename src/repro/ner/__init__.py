@@ -17,36 +17,28 @@ same model family built from scratch:
 * :mod:`repro.ner.clustering` — POS-vector k-means used to select
   diverse train/test phrases,
 * :mod:`repro.ner.metrics` — token/entity P-R-F1 and k-fold CV.
+
+The perceptron and the clustering step are numpy-backed, the CRF
+trains with scipy, and the metrics only score taggers; every default
+path tags with the rule tagger, so those names load on first use
+(:mod:`repro._lazy`).
 """
 
+from repro._lazy import lazy_exports
 from repro.ner.corpus import TAGS, TaggedPhrase, read_tsv, write_tsv
 from repro.ner.features import extract_features
-from repro.ner.metrics import (
-    EvaluationReport,
-    entity_f1,
-    evaluate,
-    k_fold_cross_validation,
-)
-from repro.ner.perceptron import AveragedPerceptronTagger
 from repro.ner.rule_tagger import RuleBasedTagger
-from repro.ner.clustering import cluster_phrases, select_diverse_corpus
 
-
-def __getattr__(name: str):
-    """Lazy export of :class:`LinearChainCRF`.
-
-    ``repro.ner.crf`` imports scipy (L-BFGS training), which costs
-    ~0.4 s — most of the pipeline's cold start — yet every default
-    path uses the rule tagger or the perceptron.  Deferring the import
-    until the CRF is actually requested keeps ``import repro`` (and
-    artifact-loaded service startup) scipy-free.
-    """
-    if name == "LinearChainCRF":
-        from repro.ner.crf import LinearChainCRF
-
-        return LinearChainCRF
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "LinearChainCRF": "repro.ner.crf",
+    "AveragedPerceptronTagger": "repro.ner.perceptron",
+    "cluster_phrases": "repro.ner.clustering",
+    "select_diverse_corpus": "repro.ner.clustering",
+    "EvaluationReport": "repro.ner.metrics",
+    "entity_f1": "repro.ner.metrics",
+    "evaluate": "repro.ner.metrics",
+    "k_fold_cross_validation": "repro.ner.metrics",
+})
 
 __all__ = [
     "TAGS",

@@ -8,14 +8,26 @@ parentheticals, "or" alternatives, trailing instructions) *plus* exact
 ground truth per phrase: the true NER tags, the true USDA food and the
 true gram weight.  Ground truth is what lets every §III number be
 scored without the paper's manual audits.
+
+Estimation reads recipes but never generates them, so the generator
+and its catalogues (ingredients, cuisines, the Piroszhki phrases) load
+on first use (:mod:`repro._lazy`).
 """
 
+from repro._lazy import lazy_exports
 from repro.recipedb.corpus import load_recipes_jsonl, save_recipes_jsonl
-from repro.recipedb.generator import GeneratorConfig, RecipeGenerator
-from repro.recipedb.ingredients import INGREDIENTS, IngredientSpec, spec_by_key
-from repro.recipedb.cuisines import CUISINES
 from repro.recipedb.model import GroundTruth, Ingredient, Recipe
-from repro.recipedb.phrases import PIROSZHKI_PHRASES, PIROSZHKI_TABLE_I
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "GeneratorConfig": "repro.recipedb.generator",
+    "RecipeGenerator": "repro.recipedb.generator",
+    "INGREDIENTS": "repro.recipedb.ingredients",
+    "IngredientSpec": "repro.recipedb.ingredients",
+    "spec_by_key": "repro.recipedb.ingredients",
+    "CUISINES": "repro.recipedb.cuisines",
+    "PIROSZHKI_PHRASES": "repro.recipedb.phrases",
+    "PIROSZHKI_TABLE_I": "repro.recipedb.phrases",
+})
 
 __all__ = [
     "load_recipes_jsonl",

@@ -4,12 +4,19 @@ One journal is one file of self-delimiting frames::
 
     offset  size  field
     ------  ----  -----------------------------------------------
-         0     4  magic  b"RJL1"
+         0     4  magic  b"RJL2"
          4     1  record kind (PLAN/COLLECT/CHECKPOINT/FALLBACK/COMPLETE)
          5     8  payload length in bytes, big-endian uint64
-        13    32  SHA-256 digest of the payload bytes
+        13    32  SHA-256 digest of bytes 4-12 (kind and length)
+                  followed by the payload
         45     —  payload (builtins-only pickle, dict root — the same
                   restricted codec as :mod:`repro.artifacts.format`)
+
+Frames of the first format, magic ``b"RJL1"``, have the same layout
+but a digest of the payload alone, so a flipped kind byte that named
+another valid kind went unnoticed.  They are still read, with that
+digest, so a journal written in that format still resumes; every
+frame appended now is ``RJL2``, also after ``RJL1`` frames.
 
 Appends are crash-safe the cheap way: the whole frame is one
 ``write()`` call on an append-mode handle, flushed and **fsync'd**
@@ -45,7 +52,9 @@ from typing import NamedTuple
 from repro import faults
 from repro.artifacts.format import pack_payload, unpack_payload
 
-MAGIC = b"RJL1"
+MAGIC = b"RJL2"
+#: The first frame format: its digest covers the payload only.
+MAGIC_V1 = b"RJL1"
 
 #: Record kinds, in the order a clean run appends them.
 KIND_PLAN = 1  # chunk plan: distinct lines, chunk size, chunk counts
@@ -64,9 +73,17 @@ KIND_NAMES = {
 
 _FRAME = struct.Struct(">4sBQ32s")
 FRAME_HEADER_SIZE = _FRAME.size
+_KIND_AND_LENGTH = struct.Struct(">BQ")
 
 #: Fault-injection site name for driver kills at journal appends.
 FAULT_SITE = "journal-append"
+
+
+def _frame_digest(kind: int, payload: bytes) -> bytes:
+    """The ``RJL2`` digest: SHA-256 over kind, length and payload."""
+    digest = hashlib.sha256(_KIND_AND_LENGTH.pack(kind, len(payload)))
+    digest.update(payload)
+    return digest.digest()
 
 
 class JournalRecord(NamedTuple):
@@ -116,14 +133,18 @@ class RunJournal:
         size = len(blob)
         while offset + FRAME_HEADER_SIZE <= size:
             magic, kind, length, digest = _FRAME.unpack_from(blob, offset)
-            if magic != MAGIC or kind not in KIND_NAMES:
+            if magic not in (MAGIC, MAGIC_V1) or kind not in KIND_NAMES:
                 break
             start = offset + FRAME_HEADER_SIZE
             end = start + length
             if end > size:
                 break
             payload_bytes = blob[start:end]
-            if hashlib.sha256(payload_bytes).digest() != digest:
+            if magic == MAGIC:
+                expected = _frame_digest(kind, payload_bytes)
+            else:
+                expected = hashlib.sha256(payload_bytes).digest()
+            if expected != digest:
                 break
             try:
                 payload = unpack_payload(payload_bytes)
@@ -165,7 +186,7 @@ class RunJournal:
         frame_index = self._frames
         body = pack_payload(payload)
         frame = (
-            _FRAME.pack(MAGIC, kind, len(body), hashlib.sha256(body).digest())
+            _FRAME.pack(MAGIC, kind, len(body), _frame_digest(kind, body))
             + body
         )
         plan = faults.active_plan()

@@ -94,7 +94,8 @@ def tokenize_fast(text: str) -> list[str]:
     recipe lines — and can be skipped outright.  Non-ASCII input takes
     the full :func:`tokenize` path.  Output is identical to
     :func:`tokenize` for every input; used by the columnar batch
-    pipeline (:mod:`repro.core.columnar`).
+    pipeline (:mod:`repro.core.columnar`), :func:`word_tokens` and the
+    unit scan (:func:`repro.units.fallback.scan_for_unit`).
     """
     if text.isascii():
         return [m.group(0).replace(" ", "") for m in _TOKEN_RE.finditer(text)]
@@ -111,7 +112,7 @@ def word_tokens(text: str) -> list[str]:
     ['cup', 'low', 'fat', 'sour', 'cream']
     """
     words: list[str] = []
-    for token in tokenize(text):
+    for token in tokenize_fast(text):
         if not any(c.isalpha() for c in token):
             continue
         for part in re.split(r"[-']", token):

@@ -20,7 +20,7 @@ import json
 from collections import Counter, defaultdict
 from functools import lru_cache
 
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import tokenize_fast
 from repro.units.aliases import canonicalize_unit
 from repro.units.normalize import normalize_unit
 
@@ -55,7 +55,7 @@ def scan_for_unit(phrase: str) -> str | None:
     >>> scan_for_unit("500 g flour or 1 cup")
     'gram'
     """
-    for token in tokenize(phrase):
+    for token in tokenize_fast(phrase):
         if not token.isalpha():
             continue
         unit = _scan_token_unit(token)

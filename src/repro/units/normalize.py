@@ -21,6 +21,7 @@ joined with a following "oz" before the first-word rule applies.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.text.lemmatizer import default_lemmatizer
 from repro.units.aliases import canonicalize_unit
@@ -70,8 +71,12 @@ def clean_unit_token(raw: str) -> str | None:
     return None
 
 
+@lru_cache(maxsize=8192)
 def normalize_unit(raw: str) -> str | None:
     """Full pipeline: raw unit text -> canonical unit name (or ``None``).
+
+    Memoized: the unit strings of a corpus and of the food portions
+    are a vocabulary of a few hundred, looked up once per line.
 
     >>> normalize_unit('pat (1" sq, 1/3" high)')
     'pat'

@@ -20,10 +20,15 @@ must reproduce byte for byte, and the memo-free service oracle
 (:func:`render_estimate_body`, :func:`render_batch_body`): a request's
 body straight from a fresh :meth:`NutritionEstimator.corpus_protocol`
 call, with no line memo, fragment splicing or response cache.
+
+Last, :func:`rjl1_journal` rewrites a run journal in the first frame
+format, whose digest covers the payload only, so resume can be tested
+against journals written before the kind byte was checksummed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
@@ -36,6 +41,7 @@ from repro.core.estimator import (
     quarantined_estimate,
 )
 from repro.core.resolution import REASON_ESTIMATOR_ERROR
+from repro.runs.journal import FRAME_HEADER_SIZE, MAGIC_V1, RunJournal
 from repro.service.codec import encode_ingredient_estimate
 from repro.units.fallback import UnitFallback
 
@@ -203,3 +209,29 @@ def render_batch_body(estimator, recipes) -> bytes:
     """The ``/v1/estimate_batch`` body for ``(texts, servings)`` recipes."""
     bodies = _render_recipes(estimator, recipes)
     return _dumps({"count": len(bodies), "recipes": bodies})
+
+
+# ----------------------------------------------------------------------
+# the first journal frame format
+
+
+def rjl1_journal(path) -> None:
+    """Rewrite the valid frames of the journal at *path* as ``RJL1``.
+
+    Same header layout, magic ``b"RJL1"``, SHA-256 of the payload
+    alone; any torn tail is dropped.
+    """
+    blob = path.read_bytes()
+    scanned = RunJournal(path).scan()
+    ends = [r.offset for r in scanned.records[1:]] + [scanned.valid_bytes]
+    frames = []
+    for record, end in zip(scanned.records, ends):
+        payload = blob[record.offset + FRAME_HEADER_SIZE : end]
+        frames.append(
+            MAGIC_V1
+            + bytes([record.kind])
+            + len(payload).to_bytes(8, "big")
+            + hashlib.sha256(payload).digest()
+            + payload
+        )
+    path.write_bytes(b"".join(frames))

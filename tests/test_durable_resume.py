@@ -47,6 +47,9 @@ from repro.runs import (
     STATUS_INTERRUPTED,
     STATUS_RUNNING,
 )
+from repro.runs.journal import MAGIC, MAGIC_V1
+
+from references import rjl1_journal
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -168,6 +171,37 @@ class TestDurableEngine:
         )
         assert engine.estimate_corpus(str(corpus_path)) == clean_estimates
         assert engine.last_report.executed_chunks > 0
+
+    def test_resume_of_an_rjl1_journal_cut_mid_run(
+        self, tmp_path, corpus_path, clean_estimates, completed_run
+    ):
+        """A journal in the first frame format (payload-only digests)
+        resumes; the frames appended after it are ``RJL2`` and, up to
+        the completion frame's run report, say exactly what the
+        uninterrupted run's frames say."""
+        run_dir, _ = completed_run
+        full = RunJournal(run_dir / "journal.bin").scan().records
+        cut = reopenable_copy(run_dir, tmp_path / "rjl1")
+        journal = cut / "journal.bin"
+        with journal.open("r+b") as handle:
+            handle.truncate(full[3].offset)
+        rjl1_journal(journal)
+        engine = ShardedCorpusEstimator(
+            workers=WORKERS, chunk_size=CHUNK_SIZE, run_dir=cut, resume=True
+        )
+        assert engine.estimate_corpus(str(corpus_path)) == clean_estimates
+        assert engine.last_report.replayed_chunks > 0
+        assert engine.last_report.executed_chunks > 0
+        resumed = RunJournal(journal).scan()
+        blob = journal.read_bytes()
+        assert resumed.valid_bytes == len(blob)
+        assert [blob[r.offset : r.offset + 4] for r in resumed.records] == (
+            [MAGIC_V1] * 3 + [MAGIC] * (len(full) - 3)
+        )
+        assert [(r.kind, r.payload) for r in resumed.records[:-1]] == [
+            (r.kind, r.payload) for r in full[:-1]
+        ]
+        assert resumed.records[-1].kind == full[-1].kind
 
     def test_resume_across_different_worker_count(
         self, tmp_path, corpus_path, clean_estimates, completed_run

@@ -312,11 +312,6 @@ class TestJournalScanProperties:
             path.write_bytes(bytes(blob))
             self._assert_last_frame_dropped(path, payloads, last)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the frame digest covers the payload only, so a kind "
-        "byte flipped to another valid kind still scans as valid",
-    )
     def test_flip_of_the_kind_byte_drops_the_frame(self, tmp_path):
         payloads = [{"chunk": 0, "wire": b""}, {"chunk": 1, "wire": b""}]
         path, last = _write_journal(tmp_path, payloads)
