@@ -38,6 +38,7 @@ from repro.runs.journal import (
     KIND_COLLECT,
     KIND_PLAN,
     MAGIC,
+    MAGIC_V1,
 )
 from repro.runs.manifest import PREFIX_SAMPLE_BYTES, STATUS_INTERRUPTED
 
@@ -186,9 +187,12 @@ class TestJournal:
         "tail",
         [
             b"\x01",  # lone stray byte
-            MAGIC,  # short header
-            MAGIC + b"\x02" + (999).to_bytes(8, "big") + b"\x00" * 32,
+            # each torn header in both frame formats, since RJL1 is still read
+            MAGIC_V1,  # short header
+            MAGIC_V1 + b"\x02" + (999).to_bytes(8, "big") + b"\x00" * 32,
             # header whose payload never arrived ^
+            MAGIC,
+            MAGIC + b"\x02" + (999).to_bytes(8, "big") + b"\x00" * 32,
             b"\xff" * 60,  # bad magic, plausible length
         ],
     )
