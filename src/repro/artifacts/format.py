@@ -84,60 +84,6 @@ def unpack_payload(blob: bytes) -> dict:
     return payload
 
 
-def pack_artifact_blob(payload: dict) -> bytes:
-    """Serialize *payload* to a complete artifact image (header + body).
-
-    The bytes are exactly what :func:`write_artifact_bytes` puts on
-    disk, so one image can back both the artifact file and an
-    in-memory handoff (e.g. a shared-memory segment a worker pool
-    validates on attach).
-    """
-    body = pack_payload(payload)
-    return (
-        _HEADER.pack(
-            MAGIC, FORMAT_VERSION, len(body), hashlib.sha256(body).digest()
-        )
-        + body
-    )
-
-
-def parse_artifact_blob(blob: bytes, source: str = "<memory>") -> dict:
-    """Validate and deserialize a complete artifact image.
-
-    Same validation order as :func:`read_artifact_bytes` (magic →
-    version → length → checksum → deserialize), with *source* naming
-    the blob's origin in error messages.
-    """
-    if len(blob) < HEADER_SIZE:
-        raise ArtifactCorruptError(
-            f"{source}: truncated artifact — {len(blob)} bytes is smaller "
-            f"than the {HEADER_SIZE}-byte header"
-        )
-    magic, version, length, digest = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ArtifactCorruptError(
-            f"{source}: not a repro artifact (bad magic {magic!r})"
-        )
-    if version != FORMAT_VERSION:
-        raise ArtifactVersionError(
-            f"{source}: artifact format version {version} is not supported "
-            f"(this repro reads version {FORMAT_VERSION}); rebuild with "
-            f"`repro build-artifact`"
-        )
-    body = blob[HEADER_SIZE:]
-    if len(body) != length:
-        raise ArtifactCorruptError(
-            f"{source}: truncated artifact — header declares a "
-            f"{length}-byte payload but {len(body)} bytes follow"
-        )
-    if hashlib.sha256(body).digest() != digest:
-        raise ArtifactCorruptError(
-            f"{source}: payload checksum mismatch — the blob was modified "
-            f"or damaged after it was written"
-        )
-    return unpack_payload(body)
-
-
 def write_artifact_bytes(path: str | Path, payload: dict) -> int:
     """Write *payload* as a complete artifact file; returns its size.
 
@@ -145,7 +91,11 @@ def write_artifact_bytes(path: str | Path, payload: dict) -> int:
     byte-deterministic: the same payload tree always produces the
     same file, so rebuild-and-compare is a valid freshness check.
     """
-    return atomic_write_bytes(path, pack_artifact_blob(payload))
+    body = pack_payload(payload)
+    header = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, len(body), hashlib.sha256(body).digest()
+    )
+    return atomic_write_bytes(path, header + body)
 
 
 def read_artifact_digest(path: str | Path) -> str:

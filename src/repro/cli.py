@@ -308,8 +308,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-        # Release the persistent worker pool and its shared-memory
-        # artifact segment before the process reports results.
+        # Release the persistent worker pool before the process
+        # reports results.
         engine.close()
     elapsed = time.perf_counter() - start
     # The report lands on every completion — an empty file is still a

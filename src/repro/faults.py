@@ -48,16 +48,16 @@ Each rule is ``action@site:selector[:arg]``:
     and re-execute its chunk.
 
 Sites wired in: ``collect-chunk`` / ``fallback-chunk`` (pool worker,
-selector = chunk task id), ``shm-attach`` (pool worker bootstrap,
-fired immediately before the worker attaches to the shared artifact
-segment, selector = worker id — ``crash@shm-attach:0`` kills worker 0
-at the worst possible moment of its boot; the respawned replacement
-gets a fresh id and boots clean), ``estimate-line`` (per-line
-estimation, selector = substring of the line), ``ingest-line`` (JSONL
-read, selector = 1-based line number), ``service-estimate`` (the HTTP
-service's estimation path, selector ``*``), ``journal-append`` (the
-durable-run chunk journal, selector = 0-based frame index — this one
-kills the coordinating driver process itself, not a worker).
+selector = chunk task id), ``worker-boot`` (pool worker start, fired
+right after the fork, before the worker takes a task, selector =
+worker id — ``crash@worker-boot:0`` kills worker 0 during its boot;
+the respawned replacement gets a fresh id and boots clean),
+``estimate-line`` (per-line estimation, selector = substring of the
+line), ``ingest-line`` (JSONL read, selector = 1-based line number),
+``service-estimate`` (the HTTP service's estimation path, selector
+``*``), ``journal-append`` (the durable-run chunk journal, selector =
+0-based frame index — this one kills the coordinating driver process
+itself, not a worker).
 
 The parsed plan is cached per environment value, so the per-line hot
 path costs one ``os.environ.get`` when no plan is set.

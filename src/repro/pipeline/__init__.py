@@ -8,12 +8,13 @@ protocol across a process pool with an exact-parity guarantee: the
 multi-worker result is bit-identical to the single-process path.
 
 * :mod:`repro.pipeline.spec` — :class:`EstimatorSpec`, the picklable
-  recipe for rebuilding an estimator once per worker,
+  recipe an estimator is built from,
 * :mod:`repro.pipeline.wire` — the compact wire codec for shipping
   per-line estimates between workers and the coordinator,
 * :mod:`repro.pipeline.supervisor` — :class:`SupervisedWorkerPool`,
-  the fault-tolerant pool: crash/hang detection, spec-based respawn,
-  bounded chunk retry, ordered results,
+  the fault-tolerant pool: workers forked with the coordinator's
+  estimator, crash/hang detection, respawn, bounded chunk retry,
+  ordered results,
 * :mod:`repro.pipeline.engine` — :class:`ShardedCorpusEstimator`, the
   coordinator: chunked sharding over the supervised pool, mergeable
   unit-statistics snapshots, bounded-memory streaming ingestion,

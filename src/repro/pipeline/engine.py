@@ -113,8 +113,8 @@ valid line that shares a long prefix with a poisoned one is never
 dead-lettered.
 
 **Persistent pool** (ISSUE 9): the supervised pool outlives a single
-run.  The first pool run spawns it (workers boot from a shared-memory
-artifact segment, :mod:`repro.pipeline.shm`); later runs on the same
+run.  The first pool run spawns it (workers are forked with the
+coordinator's estimator and build nothing); later runs on the same
 engine reuse the warm workers — the HTTP service keeps one engine, so
 ``/v1/estimate_batch`` requests skip process spawn and estimator
 rebuild entirely.  Phase-3 tasks carry a per-run ``stats_token`` so a
@@ -383,8 +383,8 @@ class ShardedCorpusEstimator:
     Parameters
     ----------
     spec:
-        The estimator configuration every worker rebuilds (default:
-        the default pipeline — embedded database, rule tagger).
+        The estimator configuration (default: the default pipeline —
+        embedded database, rule tagger).
     workers:
         Process count; ``None`` means ``os.cpu_count()``.  ``1`` runs
         the identical protocol in-process with no pool (useful as the
@@ -421,15 +421,14 @@ class ShardedCorpusEstimator:
         Route even ``workers=1`` non-durable runs through the
         supervised pool instead of the in-process shortcut.  The
         worker-scaling benchmarks use this so every point of a worker
-        series measures the same pool machinery (spawn, IPC, shm
-        bootstrap) rather than comparing a pool against a loop.
+        series measures the same pool machinery (spawn, IPC) rather
+        than comparing a pool against a loop.
     estimator_supplier:
         Zero-arg callable returning an already-built estimator
-        equivalent to ``spec.build()``, used only to capture the
-        shared-memory bootstrap payload at pool spawn.  The HTTP
-        service passes its warm estimator so the pool bootstrap does
-        not build a second one; default is the engine's own lazily
-        built in-process estimator.
+        equivalent to ``spec.build()``: the estimator pool workers
+        inherit through the fork.  The HTTP service passes its warm
+        estimator so the pool does not build a second one; default
+        is the engine's own lazily built in-process estimator.
     """
 
     def __init__(
@@ -504,8 +503,11 @@ class ShardedCorpusEstimator:
         return self._workers
 
     def _local_estimator(self) -> NutritionEstimator:
+        """The coordinator's estimator, built from the pinned
+        :meth:`_worker_spec`: in-process runs use it, and pool workers
+        forked from this process inherit it."""
         if self._local is None:
-            self._local = self._spec.build()
+            self._local = self._worker_spec().build()
         return self._local
 
     # ------------------------------------------------------------------
@@ -514,10 +516,10 @@ class ShardedCorpusEstimator:
     def ensure_pool(self) -> None:
         """Spawn the persistent worker pool now (idempotent).
 
-        Lets services and benchmarks pay the spawn + shared-memory
-        bootstrap cost up front instead of inside the first request or
-        timed region.  Only useful for engines that actually route
-        through the pool (``workers > 1`` or ``force_pool=True``).
+        Lets services and benchmarks pay the spawn cost up front
+        instead of inside the first request or timed region.  Only
+        useful for engines that actually route through the pool
+        (``workers > 1`` or ``force_pool=True``).
         """
         self._ensure_pool()
 
@@ -541,7 +543,7 @@ class ShardedCorpusEstimator:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the persistent pool and its shared segment.
+        """Shut down the persistent pool.
 
         Idempotent; the engine remains usable (the next pool run
         simply spawns a fresh pool).
@@ -923,21 +925,21 @@ class ShardedCorpusEstimator:
         return estimates
 
     def _worker_spec(self) -> EstimatorSpec:
-        """The spec shipped to pool workers.
+        """The spec estimators are built from: in the coordinator,
+        and in pool workers under non-fork start methods.
 
         For artifact-backed specs the coordinator pins the database
-        fingerprint it loaded at construction onto the worker spec:
-        workers re-read the artifact file at pool start-up — and again
-        on every supervised **respawn** — and the wire codec decodes
-        foods by database *index* against the coordinator's list.  If
-        the file were swapped for one built against different data
-        between the coordinator's load and a later spawn (e.g. a
-        deploy refreshing the artifact under a running service), the
-        indices would silently resolve to the wrong foods.  Pinning
-        routes that race into ``EstimatorSpec``'s fingerprint check,
-        so every worker either loads the identical database or fails
-        with a typed ``ArtifactMismatchError`` — at the cost of one
-        string in the spawn args, not a pickled food list.
+        fingerprint it loaded at construction onto this spec.  The
+        wire codec decodes foods by database *index* against the
+        coordinator's list; if the file were swapped for one built
+        against different data between construction and a later build
+        (e.g. a deploy refreshing the artifact under a running
+        service), the indices would silently resolve to the wrong
+        foods.  Pinning routes that race into ``EstimatorSpec``'s
+        fingerprint check, so every build either loads the identical
+        database or fails with a typed ``ArtifactMismatchError`` — in
+        the coordinator before any fork, or in a spec-built worker —
+        at the cost of one string, not a pickled food list.
         """
         if (
             self._pinned_fingerprint is None

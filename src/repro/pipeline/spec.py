@@ -1,15 +1,15 @@
-"""Picklable estimator configuration for worker processes.
+"""Picklable estimator configuration.
 
-A process pool cannot ship a live :class:`NutritionEstimator` — it
-holds an inverted index, memo caches and (for learned taggers) weight
-matrices that are expensive to serialize and pointless to copy per
-task.  Instead the coordinator ships one small :class:`EstimatorSpec`
-per worker at pool start-up; each worker rebuilds its estimator once
-and reuses it for every chunk it is handed.
+A live :class:`NutritionEstimator` holds an inverted index, memo
+caches and (for learned taggers) weight matrices; an
+:class:`EstimatorSpec` is the small recipe it is built from.  Under the
+``fork`` start method pool workers inherit the estimator the
+coordinator built from the spec; under other start methods each worker
+receives the pickled spec and builds its own.
 
-With :attr:`EstimatorSpec.artifact_path` set, "rebuild" means *load*:
-each worker reconstructs its estimator from the build-once artifact
-snapshot (:mod:`repro.artifacts`) instead of re-running description
+With :attr:`EstimatorSpec.artifact_path` set, "build" means *load*:
+the estimator is reconstructed from the build-once artifact snapshot
+(:mod:`repro.artifacts`) instead of re-running description
 preprocessing — the same spec therefore parameterizes instant cold
 starts for the sharded engine and the HTTP service alike.
 """
@@ -60,9 +60,9 @@ class EstimatorSpec:
         Database fingerprint the artifact must carry (see
         :func:`repro.artifacts.database_fingerprint`), enforced on
         every load.  The cheap pinning channel: a coordinator that
-        already validated the artifact ships this one string to its
-        pool workers instead of the whole food list, and a worker
-        that reads a swapped file fails with
+        already validated the artifact pins this one string onto the
+        spec it builds from and ships, instead of the whole food list,
+        and a load of a swapped file fails with
         :class:`~repro.artifacts.errors.ArtifactMismatchError`.
     """
 

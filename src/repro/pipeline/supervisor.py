@@ -17,12 +17,10 @@ result, and ``imap`` waits for it forever.  One lost process aborts
   :class:`SupervisorStats`.
 * **Respawn** — replacement workers are started from the same
   bootstrap the pool began with.  Under the fork start method that
-  bootstrap is a shared-memory artifact segment
-  (:mod:`repro.pipeline.shm`): the coordinator publishes one
-  checksummed artifact image per pool and every worker — initial or
-  respawned — attaches and validates it read-only instead of
-  deserializing a pickled spec, so respawns cold-start in
-  milliseconds (the PR-4 store earning its keep under failure).
+  bootstrap is the estimator the coordinator already holds: every
+  worker — initial or respawned — inherits it through the fork and
+  builds nothing, so a respawn costs one ``fork()``.  Other start
+  methods ship a :class:`SpecBootstrap` that each worker builds.
 * **Bounded retry** — the lost task is re-dispatched to a healthy
   worker, at most ``max_retries`` times, then
   :class:`~repro.pipeline.errors.ChunkRetriesExhaustedError`.
@@ -39,10 +37,10 @@ result, and ``imap`` waits for it forever.  One lost process aborts
   the workers, and results come back while it is still running.
 
 Determinism note: retrying a chunk on a different worker cannot change
-its result — every worker rebuilds the identical estimator from the
-spec, and chunk outcomes depend only on chunk content (the two-phase
-protocol's core property).  Supervision therefore composes with the
-engine's exact-parity guarantee instead of weakening it
+its result — every worker holds an identical estimator, and chunk
+outcomes depend only on chunk content (the two-phase protocol's core
+property).  Supervision therefore composes with the engine's
+exact-parity guarantee instead of weakening it
 (``tests/test_fault_tolerance.py``).
 
 Handlers run with a :class:`WorkerState` (the worker's estimator plus
@@ -63,8 +61,8 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
+from repro import faults
 from repro.pipeline.errors import ChunkRetriesExhaustedError
-from repro.pipeline.shm import make_bootstrap
 from repro.pipeline.spec import EstimatorSpec
 
 #: Seconds the result loop blocks on the result queue before running a
@@ -118,6 +116,23 @@ class WorkerState:
         self.stats_token = 0
 
 
+class SpecBootstrap:
+    """Each worker builds its estimator from the pickled spec.
+
+    The bootstrap of start methods other than ``fork``: their workers
+    start in a fresh interpreter and share nothing with the
+    coordinator.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: EstimatorSpec):
+        self.spec = spec
+
+    def build(self):
+        return self.spec.build()
+
+
 def _picklable_exc(exc: BaseException) -> BaseException:
     """*exc* if it survives pickling, else a faithful stand-in."""
     try:
@@ -128,7 +143,9 @@ def _picklable_exc(exc: BaseException) -> BaseException:
 
 
 def _worker_main(worker_id, bootstrap, handlers, task_q, result_q) -> None:
-    """One worker process: build the estimator once, serve tasks."""
+    """One worker process: take the estimator *bootstrap* names (the
+    inherited one itself, or a :class:`SpecBootstrap` to build), serve
+    tasks."""
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group.  The coordinator's handler owns the shutdown (flush the
     # run journal and dead-letter report, then exit resumable); workers
@@ -142,16 +159,23 @@ def _worker_main(worker_id, bootstrap, handlers, task_q, result_q) -> None:
     # that dies before this line runs is seen as dead; a parent pid
     # recorded here could already be the reaper's.
     coordinator = mp.parent_process()
-    try:
-        estimator = bootstrap.build(worker_id)
-    except BaseException as exc:  # noqa: BLE001 — shipped to coordinator
-        result_q.put(("init_error", worker_id, _picklable_exc(exc)))
-        return
-    # On fork start, workers inherit the coordinator heap copy-on-
-    # write; freezing keeps the worker's GC cycles from touching (and
-    # copying) inherited pages.  A worker can also inherit a paused
-    # collector (the engine pauses it while building its estimate
-    # table, and spawns lazily), so switch it on explicitly.
+    plan = faults.active_plan()
+    if plan is not None:
+        plan.fire("worker-boot", worker_id)
+    if isinstance(bootstrap, SpecBootstrap):
+        try:
+            estimator = bootstrap.build()
+        except BaseException as exc:  # noqa: BLE001 — shipped to coordinator
+            result_q.put(("init_error", worker_id, _picklable_exc(exc)))
+            return
+    else:
+        estimator = bootstrap
+    # On fork start, workers inherit the coordinator heap — the
+    # estimator included — copy-on-write; freezing keeps the worker's
+    # GC cycles from touching (and copying) inherited pages.  A worker
+    # can also inherit a paused collector (the engine pauses it while
+    # building its estimate table, and spawns lazily), so switch it on
+    # explicitly.
     gc.freeze()
     gc.enable()
     state = WorkerState(estimator)
@@ -206,11 +230,10 @@ class SupervisedWorkerPool:
     Parameters
     ----------
     spec:
-        Estimator recipe each worker (and each respawned replacement)
-        builds once at start-up.  Under the fork start method the
-        spec is captured once into a shared-memory artifact segment
-        (:mod:`repro.pipeline.shm`) that workers attach and validate,
-        rather than each deserializing the pickled spec.
+        Estimator recipe.  Under the fork start method the coordinator
+        builds it once (unless *estimator_supplier* already holds one)
+        and every worker inherits that estimator; other start methods
+        ship the pickled spec and each worker builds it.
     handlers:
         ``kind -> handler(state, payload, task_id, attempt)`` —
         module-level functions (they must cross the process boundary).
@@ -224,10 +247,8 @@ class SupervisedWorkerPool:
         Re-dispatches allowed per task after its first attempt.
     estimator_supplier:
         Optional zero-arg callable returning an already-built
-        estimator equivalent to ``spec.build()``.  When the caller
-        (e.g. the engine or service) holds a live estimator, the
-        shared-memory bootstrap captures its payload directly instead
-        of building a second one.
+        estimator equivalent to ``spec.build()``.  Under fork, workers
+        inherit the one it returns instead of one the pool builds.
     """
 
     def __init__(
@@ -253,9 +274,11 @@ class SupervisedWorkerPool:
         self._deadline_s = deadline_s
         self._max_retries = max_retries
         self._ctx = ctx or mp.get_context()
-        self._bootstrap, self._segment = make_bootstrap(
-            spec, estimator_supplier, self._ctx
-        )
+        if self._ctx.get_start_method() == "fork":
+            # Built here, before any fork: workers use it as inherited.
+            self._bootstrap = (estimator_supplier or spec.build)()
+        else:
+            self._bootstrap = SpecBootstrap(spec)
         self._result_q: mp.Queue = self._ctx.Queue()
         self._workers: dict[int, _Worker] = {}
         self._next_wid = 0
@@ -308,11 +331,6 @@ class SupervisedWorkerPool:
             self._discard(wid, kill=True)
         self._result_q.cancel_join_thread()
         self._result_q.close()
-        # Workers are gone; the coordinator removes the shared artifact
-        # segment exactly once.  Idempotent, so a close() after a
-        # crashed run (or a second close()) is still a no-op.
-        if self._segment is not None:
-            self._segment.unlink()
 
     def __enter__(self) -> "SupervisedWorkerPool":
         return self
@@ -406,9 +424,10 @@ class SupervisedWorkerPool:
         tag = message[0]
         if tag == "init_error":
             # A worker (initial or respawned) cannot build its
-            # estimator — e.g. a typed ArtifactMismatchError from a
-            # swapped artifact file.  Systematic, so fatal: re-raise
-            # the original typed exception.
+            # estimator from the spec — e.g. a typed
+            # ArtifactMismatchError from a swapped artifact file.
+            # Systematic, so fatal: re-raise the original typed
+            # exception.
             raise message[2]
         _, wid, epoch, task_id, payload = message
         worker = self._workers.get(wid)

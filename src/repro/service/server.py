@@ -292,9 +292,8 @@ class NutritionService:
                 pass
         self._sel.close()
         self._pool.stop()
-        # Release the batch engine's persistent worker pool (and its
-        # shared-memory artifact segment) with the rest of the
-        # process's sockets — idempotent, covers both the loop exit
+        # Release the batch engine's persistent worker pool with the
+        # rest of the process's sockets — idempotent, covers both the loop exit
         # and the constructed-but-never-served path.
         self.state.close()
 

@@ -198,10 +198,11 @@ class ServiceConfig:
         Entry cap for the response cache (FIFO eviction).
     spec:
         The estimator configuration the service builds once at
-        startup; picklable, so the same spec also parameterizes the
-        engine's worker processes.  With ``spec.artifact_path`` set
+        startup; the engine's worker processes are forked with that
+        estimator (or, under a non-fork start method, build it from
+        the pickled spec).  With ``spec.artifact_path`` set
         (``repro serve --artifact``) that build is a snapshot load —
-        the service and every worker cold-start in milliseconds.
+        the service cold-starts in milliseconds.
     max_body_bytes:
         Request bodies above this size are rejected with HTTP 413
         before the body is read (``repro serve --max-body-bytes``).
@@ -317,14 +318,14 @@ class ServiceState:
         # The warm shared estimator — the service's whole reason to
         # exist.  Built eagerly so the first request is already fast.
         self._estimator = config.spec.build()
-        # For an artifact-backed spec, pin the engine (and through it
-        # every pool worker) to the exact database the warm estimator
-        # was built from: if the artifact file is replaced under a
-        # running service, batch fan-out must fail with a typed
-        # mismatch rather than let /v1/estimate and /v1/estimate_batch
-        # silently answer from different databases.  The pin is the
-        # fingerprint string, not the food list — one initargs string
-        # per pool spawn, worker-side comparison is a string equality.
+        # For an artifact-backed spec, pin the engine to the exact
+        # database the warm estimator was built from: if the artifact
+        # file is replaced under a running service, anything the
+        # engine builds from the spec (a spec-built worker under a
+        # non-fork start method) must fail with a typed mismatch
+        # rather than let /v1/estimate and /v1/estimate_batch silently
+        # answer from different databases.  The pin is the fingerprint
+        # string, not the food list.
         engine_spec = config.spec
         if engine_spec.artifact_path is not None:
             from repro.artifacts import database_fingerprint
@@ -340,19 +341,19 @@ class ServiceState:
                 engine_spec,
                 workers=config.workers,
                 quarantine=True,
-                # Capture the pool's shared-memory bootstrap payload
-                # from the estimator the service already built.
+                # Pool workers are forked with the estimator the
+                # service already built.
                 estimator_supplier=lambda: self._estimator,
             )
             if config.workers > 1
             else None
         )
         if self._engine is not None:
-            # The persistent warm pool: spawn the workers now (shared-
-            # memory bootstrap included) so the first
-            # /v1/estimate_batch request fans out to warm processes
-            # instead of paying the pool start-up inline.  The pool
-            # lives until close() and is reused by every batch.
+            # The persistent warm pool: spawn the workers now so the
+            # first /v1/estimate_batch request fans out to warm
+            # processes instead of paying the pool start-up inline.
+            # The pool lives until close() and is reused by every
+            # batch.
             self._engine.ensure_pool()
         # Resilience machinery (see repro.service.resilience).
         self.admission = AdmissionController(
@@ -393,7 +394,6 @@ class ServiceState:
 
         Called by the server at the end of graceful shutdown; also
         safe to call directly in tests that build a state by hand.
-        The engine unlinks its shared-memory artifact segment here.
         """
         if self._engine is not None:
             self._engine.close()
@@ -610,19 +610,18 @@ class ServiceState:
         Both paths run the identical two-phase corpus protocol, so the
         choice is invisible in the response (the engine's exact-parity
         guarantee).  The engine path fans out through the **persistent
-        warm pool** spawned at startup (workers boot once from the
-        shared-memory artifact segment and are reused by every batch);
-        it only engages from :data:`ENGINE_MIN_DISTINCT_LINES` distinct
-        lines up (read at call time), where fan-out beats the warm
-        estimator, and runs under its own lock so a large batch never
-        stalls single-recipe traffic.  It renders every line from its
-        own table; only the in-process path goes through the line
-        memo.
+        warm pool** spawned at startup (workers forked with the warm
+        estimator and reused by every batch); it only engages from
+        :data:`ENGINE_MIN_DISTINCT_LINES` distinct lines up (read at
+        call time), where fan-out beats the warm estimator, and runs
+        under its own lock so a large batch never stalls
+        single-recipe traffic.  It renders every line from its own
+        table; only the in-process path goes through the line memo.
 
         The engine path sits behind the circuit breaker: an engine
-        failure (chunk retry budget exhausted, pool unusable, artifact
-        mismatch on respawn) records a breaker failure and the request
-        **degrades to the in-process estimator**, which returns the
+        failure (chunk retry budget exhausted, pool unusable) records
+        a breaker failure and the request **degrades to the
+        in-process estimator**, which returns the
         bit-identical table — the client sees a slower response, not
         an error.  With the breaker open, batches skip the failing
         fan-out entirely until the cooldown's half-open probe.
@@ -645,8 +644,8 @@ class ServiceState:
                     # per-line estimation failures are quarantined
                     # inside the engine, so a non-PipelineError here is
                     # a deployment/config fault (e.g. a typed artifact
-                    # mismatch on worker spawn) that degrading would
-                    # only hide from the operator.
+                    # mismatch in a spec-built worker) that degrading
+                    # would only hide from the operator.
                     log.exception(
                         "sharded engine failed; degrading to in-process "
                         "estimation"

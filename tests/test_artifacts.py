@@ -244,12 +244,11 @@ class TestArtifactSwapRace:
     def test_running_engine_is_immune_to_artifact_swap(self, tmp_path):
         """A deploy that rewrites the artifact file while an engine is
         live must never decode wire indices against the wrong
-        database.  The pool boots from a shared-memory image captured
-        at spawn (see repro.pipeline.shm), so a warm pool cannot even
-        observe the swap — it keeps answering from the pinned startup
-        artifact.  A pool spawned *after* the swap re-reads the file
-        and must fail typed (the coordinator pins its fingerprint onto
-        the worker bootstrap — see ShardedCorpusEstimator._worker_spec).
+        database.  Pool workers are forked with the coordinator's
+        estimator, built from the spec pinned at construction (see
+        ShardedCorpusEstimator._worker_spec), so no worker ever reads
+        the file: a warm pool keeps answering from the startup
+        artifact, and so does a fresh pool spawned after the swap.
         """
         from repro import RecipeGenerator, ShardedCorpusEstimator
         from repro.usda.database import NutrientDatabase
@@ -266,23 +265,21 @@ class TestArtifactSwapRace:
         tiny = NutrientDatabase(_tiny_database_foods())
         save_artifact(path, NutritionEstimator(database=tiny))
 
-        # The persistent pool still holds the startup image: results
-        # stay bit-identical to the pre-swap run.
+        # The persistent pool still holds the startup estimator:
+        # results stay bit-identical to the pre-swap run.
         assert engine.estimate_corpus(recipes) == first
 
-        # A fresh pool boots from the swapped file and fails typed.
+        # A fresh pool inherits the same estimator: still identical.
         engine.close()
-        with pytest.raises(ArtifactMismatchError, match="different database"):
-            engine.estimate_corpus(recipes)
+        assert engine.estimate_corpus(recipes) == first
         engine.close()
 
     def test_service_engine_is_pinned_to_startup_artifact(self, tmp_path):
         """After an on-disk artifact swap, /v1/estimate and
         /v1/estimate_batch must never answer from different databases.
-        The service spawns its persistent pool at startup from a
-        shared-memory image of the artifact, so both paths keep
-        answering from the startup database; a pool respawned after
-        the swap fails typed instead of splitting the endpoints."""
+        The service's pool workers are forked with its warm estimator,
+        so both paths keep answering from the startup database — also
+        from a pool spawned after the swap."""
         from repro.service.state import ServiceConfig, ServiceState
         from repro.usda.database import NutrientDatabase
 
@@ -301,15 +298,43 @@ class TestArtifactSwapRace:
         counts = {f"{i} cups flour type{i}": 1 for i in range(300)}
         # Warm pool: batch fan-out matches the warm estimator exactly —
         # one database on both endpoints, swap notwithstanding.
-        assert state._estimate_table(counts) == state._local_table(
-            counts, None
+        local = state._local_table(counts, None)
+        assert state._estimate_table(counts) == local
+        # A pool spawned post-swap inherits the warm estimator too.
+        state.close()
+        assert state._estimate_table(counts) == local
+        assert state.resilience_snapshot()["degraded_batches"] == 0
+        state.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_swap_before_first_build_fails_typed_in_the_coordinator(
+        self, tmp_path, workers
+    ):
+        """An artifact swapped after engine construction but before
+        the coordinator builds its estimator fails the pinned
+        fingerprint check in the coordinator: typed, and before any
+        worker is forked."""
+        import multiprocessing as mp
+
+        from repro import RecipeGenerator, ShardedCorpusEstimator
+        from repro.usda.database import NutrientDatabase
+
+        path = tmp_path / "early.artifact"
+        save_artifact(path, NutritionEstimator())
+        engine = ShardedCorpusEstimator(
+            EstimatorSpec(artifact_path=str(path)), workers=workers
         )
-        # A pool respawned post-swap must fail typed, not silently
-        # serve the other database.
-        state.close()
+        tiny = NutrientDatabase(_tiny_database_foods())
+        save_artifact(path, NutritionEstimator(database=tiny))
+        children = set(mp.active_children())
         with pytest.raises(ArtifactMismatchError, match="different database"):
-            state._estimate_table(counts)
-        state.close()
+            if workers == 1:
+                engine.estimate_corpus(RecipeGenerator().generate(4))
+            else:
+                engine.ensure_pool()
+        assert engine._pool is None
+        assert set(mp.active_children()) == children
+        engine.close()
 
 
 class TestFilePermissions:

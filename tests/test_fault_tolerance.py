@@ -359,7 +359,6 @@ else:  # one worker is still busy, and its result will find no reader
     next(pool.run("big", [0.0, 1.0]))
 with open(sys.argv[1], "w") as fh:
     fh.write(" ".join(str(w.process.pid) for w in pool._workers.values()))
-    fh.write("\\n" + (pool._segment.name if pool._segment else ""))
 os._exit(0)
 """
 
@@ -382,10 +381,10 @@ def _running(pid: int) -> bool:
 class TestOrphanedWorkers:
     @pytest.mark.parametrize("state", ["idle", "busy"])
     def test_workers_exit_when_coordinator_dies_hard(self, tmp_path, state):
-        """A coordinator that hard-exits leaves no worker behind, and
-        its shared segment goes too: right after spawning its pool
-        (idle workers), or while a worker computes a result too large
-        to flush into a pipe nobody reads (busy)."""
+        """A coordinator that hard-exits leaves no worker behind: right
+        after spawning its pool (idle workers), or while a worker
+        computes a result too large to flush into a pipe nobody reads
+        (busy)."""
         import repro
 
         pid_file = tmp_path / "pids.txt"
@@ -404,21 +403,13 @@ class TestOrphanedWorkers:
             timeout=60,
             check=True,
         )
-        pid_line, segment = pid_file.read_text().split("\n")
-        pids = [int(pid) for pid in pid_line.split()]
+        pids = [int(pid) for pid in pid_file.read_text().split()]
         assert len(pids) == 2
         try:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline and any(map(_running, pids)):
                 time.sleep(0.05)
             assert not any(map(_running, pids))
-            if segment:
-                while (
-                    time.monotonic() < deadline
-                    and os.path.exists(f"/dev/shm/{segment}")
-                ):
-                    time.sleep(0.05)
-                assert not os.path.exists(f"/dev/shm/{segment}")
         finally:
             for pid in filter(_running, pids):
                 os.kill(pid, signal.SIGKILL)
