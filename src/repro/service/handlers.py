@@ -26,6 +26,11 @@ request :class:`~repro.service.resilience.Deadline`.  Introspection
 endpoints bypass admission — health checks and metrics scrapes must
 keep answering precisely when the service is saturated — and cache
 hits bypass it too (a memcpy does not need a concurrency slot).
+
+``/v1/estimate`` alone is marked ``on_loop``: the event-loop server
+admits its cache misses with :func:`admit` as it reads them and runs
+them through :func:`dispatch` on its own thread, while every other
+miss runs through the same :func:`dispatch` on a pool thread.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from repro.service.errors import (
     NotFoundError,
     ServiceError,
 )
-from repro.service.resilience import Deadline
+from repro.service.resilience import Admission, Deadline
 from repro.service.state import ServiceState
 
 log = logging.getLogger("repro.service")
@@ -68,7 +73,12 @@ class Endpoint:
     the raw payload); ``invoke`` calls the matching
     :class:`ServiceState` method with the request deadline.
     ``cacheable`` routes additionally get normalized-payload response
-    caching and admission control in :func:`dispatch`.
+    caching and admission control in :func:`dispatch`.  ``on_loop``
+    routes have cache misses short enough to estimate on the server's
+    event-loop thread: validation bounds ``/v1/estimate`` at
+    :data:`~repro.service.codec.MAX_INGREDIENTS_PER_RECIPE` lines of
+    up to :data:`~repro.service.codec.MAX_PHRASE_CHARS` characters
+    (about 50 ms cold at the bound, a few ms for a typical recipe).
     """
 
     validate: Callable | None
@@ -77,6 +87,7 @@ class Endpoint:
         dict | bytes | codec.SplicedBody,
     ]
     cacheable: bool = False
+    on_loop: bool = False
 
 
 #: The single routing table: (method, path) -> endpoint spec.
@@ -95,6 +106,7 @@ ENDPOINTS: dict[tuple[str, str], Endpoint] = {
         validate=codec.validate_estimate,
         invoke=lambda state, request, dl: state.estimate(request, dl),
         cacheable=True,
+        on_loop=True,
     ),
     ("POST", "/v1/estimate_batch"): Endpoint(
         validate=codec.validate_batch,
@@ -125,9 +137,9 @@ _KNOWN_PATHS = frozenset(path for _, path in ENDPOINTS)
 class Prepared:
     """A validated cacheable request whose cache miss is counted.
 
-    :func:`dispatch_fast` hands this to the off-loop :func:`dispatch`
-    so the payload is validated, and the response-cache miss counted,
-    once per request.
+    :func:`dispatch_fast` hands this to :func:`dispatch` so the
+    payload is validated, and the response-cache miss counted, once
+    per request.
     """
 
     endpoint: Endpoint
@@ -147,6 +159,23 @@ def _route(method: str, path: str) -> Endpoint:
     raise NotFoundError(f"no such endpoint: {path}")
 
 
+def _error_response(
+    state: ServiceState, metric_name: str, started: float, exc: ServiceError
+) -> Response:
+    """The typed envelope for *exc*, observed as an error."""
+    state.metrics.observe(
+        metric_name, time.perf_counter() - started, error=True
+    )
+    return Response(
+        exc.status, codec.dumps_body(exc.to_body()), headers=exc.headers()
+    )
+
+
+def _request_deadline(state: ServiceState) -> Deadline | None:
+    timeout_s = state.config.request_timeout_s
+    return Deadline(timeout_s) if timeout_s is not None else None
+
+
 def dispatch_fast(
     state: ServiceState, method: str, path: str, payload
 ) -> Response | Prepared:
@@ -157,9 +186,9 @@ def dispatch_fast(
     endpoints, routing and validation errors, and response-cache hits
     — with metrics semantics identical to :func:`dispatch`.  A
     :class:`Prepared` return means real estimation work is required:
-    the caller must pass it to :func:`dispatch` off the loop thread.
-    Its cache miss is counted, but **nothing** has been observed in
-    the endpoint metrics yet.
+    the caller must pass it to :func:`dispatch` (off the loop thread
+    unless the endpoint is ``on_loop``).  Its cache miss is counted,
+    but **nothing** has been observed in the endpoint metrics yet.
     """
     metric_name = path if path in _KNOWN_PATHS else "(unknown)"
     started = time.perf_counter()
@@ -179,12 +208,7 @@ def dispatch_fast(
             return Response(200, cached, cache_hit=True)
         return Prepared(endpoint, request, key)
     except ServiceError as exc:
-        state.metrics.observe(
-            metric_name, time.perf_counter() - started, error=True
-        )
-        return Response(
-            exc.status, codec.dumps_body(exc.to_body()), headers=exc.headers()
-        )
+        return _error_response(state, metric_name, started, exc)
     except Exception:
         log.exception("unhandled error in %s %s", method, path)
         state.metrics.observe(
@@ -194,12 +218,30 @@ def dispatch_fast(
         return Response(fallback.status, codec.dumps_body(fallback.to_body()))
 
 
+def admit(state: ServiceState, path: str) -> Response | Admission:
+    """Queue a prepared request for admission now, or shed it.
+
+    Never waits: the event-loop server calls this on its loop thread
+    as it reads an ``on_loop`` request, and passes the returned
+    admission to :func:`dispatch`.  The request deadline starts here,
+    so time spent queued counts against ``request_timeout_s``.  A shed
+    request gets the same 503 ``overloaded`` response as one shed in
+    :func:`dispatch`.
+    """
+    started = time.perf_counter()
+    try:
+        return state.admission.reserve(_request_deadline(state))
+    except ServiceError as exc:
+        return _error_response(state, path, started, exc)
+
+
 def dispatch(
     state: ServiceState,
     method: str,
     path: str,
     payload,
     prepared: Prepared | None = None,
+    admission: Admission | None = None,
 ) -> Response:
     """Handle one decoded request end to end.
 
@@ -212,7 +254,8 @@ def dispatch(
     which answers everything that needs no estimation work.  A
     prepared request is taken as validated and its cache miss as
     counted; the cache is re-checked without counting, and *payload*
-    is ignored.
+    is ignored.  An *admission* from :func:`admit` (queued, or already
+    holding a slot) is run, or released, instead of a fresh one.
     """
     started = time.perf_counter()
     if prepared is None:
@@ -220,6 +263,8 @@ def dispatch(
         if isinstance(outcome, Response):
             return outcome
         prepared = outcome
+    if admission is None:
+        admission = state.admission.admitted(_request_deadline(state))
     try:
         cached = state.recheck_response(prepared.key)
         if cached is not None:
@@ -227,11 +272,9 @@ def dispatch(
                 path, time.perf_counter() - started, cache_hit=True
             )
             return Response(200, cached, cache_hit=True)
-        timeout_s = state.config.request_timeout_s
-        deadline = Deadline(timeout_s) if timeout_s is not None else None
-        with state.admission.admitted(deadline):
+        with admission:
             result = prepared.endpoint.invoke(
-                state, prepared.request, deadline
+                state, prepared.request, admission.deadline
             )
         body = codec.dumps_body(result)
         # Spliced bodies stay in pieces that share fragment bytes with
@@ -245,12 +288,12 @@ def dispatch(
     except ServiceError as exc:
         if isinstance(exc, DeadlineExceededError):
             state.note_deadline_exceeded()
-        state.metrics.observe(path, time.perf_counter() - started, error=True)
-        return Response(
-            exc.status, codec.dumps_body(exc.to_body()), headers=exc.headers()
-        )
+        return _error_response(state, path, started, exc)
     except Exception:
         log.exception("unhandled error in %s %s", method, path)
         state.metrics.observe(path, time.perf_counter() - started, error=True)
         fallback = InternalError("internal server error")
         return Response(fallback.status, codec.dumps_body(fallback.to_body()))
+    finally:
+        # A cache hit or an early error never entered the admission.
+        admission.release()

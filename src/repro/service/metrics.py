@@ -79,6 +79,8 @@ class ConnectionStats:
         "protocol_errors",
         "aborted",
         "pipelined",
+        "estimated_on_loop",
+        "estimated_on_pool",
     )
 
     def __init__(self) -> None:
@@ -89,6 +91,8 @@ class ConnectionStats:
         self.protocol_errors = 0  # closed after a malformed request
         self.aborted = 0  # client vanished mid-request/mid-response
         self.pipelined = 0  # requests served beyond a batch's first
+        self.estimated_on_loop = 0  # cache misses run on the loop thread
+        self.estimated_on_pool = 0  # requests handed to a pool thread
 
     def snapshot(self) -> dict:
         return {
@@ -99,6 +103,8 @@ class ConnectionStats:
             "protocol_errors": self.protocol_errors,
             "aborted": self.aborted,
             "pipelined_requests": self.pipelined,
+            "estimated_on_loop": self.estimated_on_loop,
+            "estimated_on_pool": self.estimated_on_pool,
         }
 
 

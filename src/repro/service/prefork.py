@@ -27,6 +27,7 @@ before exiting 0.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
 import multiprocessing
 import os
@@ -70,6 +71,8 @@ def _worker_main(config: ServiceConfig, ready_queue) -> None:
     signal.signal(signal.SIGINT, _request_stop)
     try:
         service = NutritionService(config)
+        # As in serve(): the warm heap stays out of full collections.
+        gc.freeze()
         service.start()
     except Exception as exc:
         log.exception("worker %d failed to start", config.worker_id)

@@ -14,7 +14,9 @@ partially failing service *predictable* instead of slow-then-dead:
   ``Retry-After``).  Shedding at the door is what keeps saturation
   from becoming unbounded memory growth and multi-minute latencies —
   the service degrades to "some requests get a fast 503" instead of
-  "every request times out".
+  "every request times out".  :meth:`~AdmissionController.reserve` is
+  the entry that never blocks: the event loop queues a request with
+  it the moment the request is read.
 * :class:`CircuitBreaker` — classic closed/open/half-open gate around
   the sharded batch engine.  After ``threshold`` consecutive engine
   failures the breaker opens and batch requests degrade to the
@@ -85,6 +87,10 @@ class AdmissionController:
         with admission.admitted(deadline):
             ... do the work ...
 
+    or, where the caller must not block, take a queue place now with
+    :meth:`reserve` and run the returned admission later, with
+    :meth:`Admission.try_start` or ``with``.
+
     :attr:`active` and :attr:`queued` feed ``/metrics`` and
     ``/readyz``; :attr:`shed_total` counts 503s issued.  The server's
     graceful shutdown polls :meth:`drained` so in-flight work finishes
@@ -129,6 +135,17 @@ class AdmissionController:
         with self._cond:
             return self._active >= self.max_concurrent
 
+    def full(self) -> bool:
+        """Would a request arriving now be shed?"""
+        with self._cond:
+            return self._full_locked()
+
+    def _full_locked(self) -> bool:
+        return (
+            self._active + self._queued
+            >= self.max_concurrent + self.max_queue
+        )
+
     def drained(self) -> bool:
         with self._cond:
             return self._active == 0 and self._queued == 0
@@ -145,23 +162,44 @@ class AdmissionController:
 
     # -- admission
 
-    def admitted(self, deadline: Deadline | None = None):
+    def admitted(self, deadline: Deadline | None = None) -> "Admission":
         """Context manager: enter (or shed) on ``__enter__``."""
-        return _Admission(self, deadline)
+        return Admission(self, deadline)
 
-    def _enter(self, deadline: Deadline | None) -> None:
+    def reserve(self, deadline: Deadline | None = None) -> "Admission":
+        """Count a request as queued now, or shed it; never waits.
+
+        Sheds (:class:`ServiceOverloadedError`) when ``active +
+        queued`` already fills ``max_concurrent + max_queue``.  The
+        returned admission holds a queue place: ``try_start`` moves it
+        to a free execution slot without waiting, ``with`` waits for
+        one like any queued request, ``release`` gives the place back.
+        """
         with self._cond:
-            if self._active < self.max_concurrent:
-                self._active += 1
-                return
-            if self._queued >= self.max_queue:
-                self._shed += 1
-                raise ServiceOverloadedError(
-                    f"service at capacity ({self.max_concurrent} active, "
-                    f"{self._queued} queued); request shed",
-                    retry_after_s=self._retry_after(deadline),
-                )
+            if self._full_locked():
+                raise self._shed_locked(deadline)
             self._queued += 1
+        return Admission(self, deadline, _QUEUED)
+
+    def _shed_locked(self, deadline: Deadline | None) -> ServiceOverloadedError:
+        self._shed += 1
+        return ServiceOverloadedError(
+            f"service at capacity ({self._active} active, "
+            f"{self._queued} queued); request shed",
+            retry_after_s=self._retry_after(deadline),
+        )
+
+    def _enter(self, deadline: Deadline | None, queued: bool) -> None:
+        """Take an execution slot, waiting in the queue if need be;
+        *queued* says the request already holds a queue place."""
+        with self._cond:
+            if not queued:
+                if self._active < self.max_concurrent:
+                    self._active += 1
+                    return
+                if self._queued >= self.max_queue:
+                    raise self._shed_locked(deadline)
+                self._queued += 1
             try:
                 wait_until = time.monotonic() + (
                     min(deadline.remaining_s(), MAX_QUEUE_WAIT_S)
@@ -182,6 +220,19 @@ class AdmissionController:
             finally:
                 self._queued -= 1
 
+    def _try_start(self) -> bool:
+        """Move one queued request to a free slot; ``False`` if none."""
+        with self._cond:
+            if self._active >= self.max_concurrent:
+                return False
+            self._queued -= 1
+            self._active += 1
+            return True
+
+    def _withdraw(self) -> None:
+        with self._cond:
+            self._queued -= 1
+
     def _leave(self) -> None:
         with self._cond:
             self._active -= 1
@@ -196,22 +247,56 @@ class AdmissionController:
         return max(1, round(min(deadline.budget_s, 30.0)))
 
 
-class _Admission:
-    __slots__ = ("_controller", "_deadline", "_entered")
+_QUEUED = "queued"
+_ACTIVE = "active"
 
-    def __init__(self, controller: AdmissionController, deadline):
+
+class Admission:
+    """One request's place in an :class:`AdmissionController`.
+
+    Holds nothing, a queue place (from :meth:`~AdmissionController.
+    reserve`) or an execution slot, and carries the request's
+    :attr:`deadline`.  ``with`` runs the request in a slot: entering
+    takes one unless already held (waiting, or shedding, like any
+    queued request), leaving releases whatever is held.
+    """
+
+    __slots__ = ("_controller", "deadline", "_held")
+
+    def __init__(
+        self,
+        controller: AdmissionController,
+        deadline: Deadline | None,
+        held: str | None = None,
+    ):
         self._controller = controller
-        self._deadline = deadline
-        self._entered = False
+        self.deadline = deadline
+        self._held = held
 
-    def __enter__(self) -> "_Admission":
-        self._controller._enter(self._deadline)
-        self._entered = True
+    def try_start(self) -> bool:
+        """Take a free execution slot for the queued request, now or
+        never; ``True`` if the admission holds a slot."""
+        if self._held == _QUEUED and self._controller._try_start():
+            self._held = _ACTIVE
+        return self._held == _ACTIVE
+
+    def release(self) -> None:
+        """Give back the slot or queue place held (idempotent)."""
+        held, self._held = self._held, None
+        if held == _ACTIVE:
+            self._controller._leave()
+        elif held == _QUEUED:
+            self._controller._withdraw()
+
+    def __enter__(self) -> "Admission":
+        held, self._held = self._held, None
+        if held != _ACTIVE:
+            self._controller._enter(self.deadline, queued=held == _QUEUED)
+        self._held = _ACTIVE
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._entered:
-            self._controller._leave()
+        self.release()
 
 
 class CircuitBreaker:

@@ -6,13 +6,28 @@ HTTP/1.1 parsing (:mod:`repro.service.httpproto`) with keep-alive and
 pipelining, and single-send buffered responses.  Requests that finish
 in microseconds — introspection endpoints, validation errors, response
 -cache hits — are answered inline on the loop
-(:func:`~repro.service.handlers.dispatch_fast`); real estimation work
-runs on a small pool of daemon worker threads and its response is
-delivered back to the loop over a wakeup pipe.  The split is what
-makes throughput scale with connection count: ten thousand idle
+(:func:`~repro.service.handlers.dispatch_fast`).  Ten thousand idle
 keep-alive connections cost ten thousand parser buffers, not ten
 thousand OS threads, and a cache hit never waits behind a thread
 scheduler.
+
+A ``/v1/estimate`` cache miss is estimated on the loop thread too.
+It is admitted the moment it is read
+(:func:`~repro.service.handlers.admit`: counted as queued, or shed
+with 503 at once) and joins a loop-owned FIFO.  Each loop turn, after
+socket events and completions, the loop runs the FIFO head through
+:func:`~repro.service.handlers.dispatch` if it can take an admission
+slot and the estimator lock without waiting and admission is not
+full; otherwise the head goes to the pool.  One estimation per turn
+bounds what a cache hit or ``/healthz`` waits behind to one validated
+recipe, and no thread handoff sits between reading such a request and
+writing its answer.
+Everything else that needs real work — ``/v1/estimate_batch``,
+``/v1/explain``, ``/v1/match``, ``/v1/parse``, and bodies over
+:data:`_INLINE_DECODE_MAX` — runs through the same ``dispatch`` on a
+small pool of daemon worker threads, whose responses come back to the
+loop over a wakeup socket.  ``/metrics`` ``connections`` counts both
+(``estimated_on_loop``, ``estimated_on_pool``).
 
 The wire contract is pinned by recorded golden responses
 (``tests/golden/server_matrix.json``): every response — success and
@@ -29,14 +44,16 @@ lands in ``/metrics`` under ``connections``.
 
 Lifecycle: blocking :meth:`serve_forever`,
 background :meth:`start`, context manager, and a graceful
-:meth:`shutdown` (readyz flips 503 → accept stops → in-flight requests
-drain and their responses flush → loop joins).  ``serve()`` is the CLI
+:meth:`shutdown` (readyz flips 503 → accept stops → requests already
+received are admitted → in-flight requests drain and their responses
+flush → loop joins).  ``serve()`` is the CLI
 entry point; with ``config.procs > 1`` it hands off to the pre-fork
 supervisor (:mod:`repro.service.prefork`).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import queue
@@ -48,8 +65,15 @@ import time
 from collections import deque
 
 from repro.service.errors import InvalidJSONError, ServiceError
-from repro.service.handlers import Prepared, Response, dispatch, dispatch_fast
+from repro.service.handlers import (
+    Prepared,
+    Response,
+    admit,
+    dispatch,
+    dispatch_fast,
+)
 from repro.service.httpproto import RequestParser, render_response
+from repro.service.resilience import Admission
 from repro.service.state import ServiceConfig, ServiceState
 
 log = logging.getLogger("repro.service")
@@ -106,7 +130,7 @@ class _Connection:
         self.out = bytearray()
         self.out_off = 0
         self.events = 0  # current selector interest mask
-        self.busy = False  # an estimation job is in flight
+        self.busy = False  # a request is in the FIFO or on the pool
         self.close_after_write = False
         self.peer_closed = False  # EOF seen while a job was in flight
         self.paused = False  # reads stopped for backpressure
@@ -185,6 +209,10 @@ class NutritionService:
         self._completions: deque = deque()
         self._completions_lock = threading.Lock()
         self._runnable: deque[_Connection] = deque()
+        # Admitted on_loop requests, oldest first: (conn, method, path,
+        # prepared, admission).  Owned by the loop thread.
+        self._fifo: deque = deque()
+        self._draining = False
 
         self._thread: threading.Thread | None = None
         self._stop_requested = False
@@ -283,6 +311,9 @@ class NutritionService:
             pass
 
     def _teardown(self) -> None:
+        for entry in self._fifo:
+            entry[-1].release()
+        self._fifo.clear()
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         for sock in (self._listener, self._wake_r, self._wake_w):
@@ -303,11 +334,10 @@ class NutritionService:
     def _loop(self) -> None:
         self._sel.register(self._listener, selectors.EVENT_READ, "listener")
         self._sel.register(self._wake_r, selectors.EVENT_READ, "wakeup")
-        draining = False
         drain_deadline = 0.0
         last_scan = time.monotonic()
         while True:
-            timeout = 0.0 if self._runnable else _SCAN_INTERVAL_S
+            timeout = 0.0 if self._runnable or self._fifo else _SCAN_INTERVAL_S
             for key, mask in self._sel.select(timeout):
                 if key.data == "listener":
                     self._accept()
@@ -330,20 +360,15 @@ class NutritionService:
                 conn = self._runnable.popleft()
                 if conn.sock.fileno() >= 0 and not conn.busy:
                     self._pump(conn, pipelined=True)
+            self._estimate_head()
             now = time.monotonic()
             if now - last_scan >= _SCAN_INTERVAL_S:
                 last_scan = now
                 self._scan_timeouts(now)
-            if self._stop_requested and not draining:
-                draining = True
+            if self._stop_requested and not self._draining:
                 drain_deadline = now + self.DRAIN_TIMEOUT_S
-                self._sel.unregister(self._listener)
-                self._listener.close()
-                # Idle connections have nothing to wait for.
-                for conn in list(self._conns.values()):
-                    if not conn.busy and not conn.out_pending:
-                        self._close_conn(conn)
-            if draining:
+                self._begin_drain()
+            if self._draining:
                 if not self._conns or now >= drain_deadline:
                     if self._conns:
                         log.warning(
@@ -353,6 +378,26 @@ class NutritionService:
                         )
                     break
         self._teardown()
+
+    def _begin_drain(self) -> None:
+        """Stop accepting, admit what already arrived, close the idle."""
+        # A connection or request that arrived while the loop was
+        # estimating is still unaccepted or unread: take the backlog
+        # and read every connection once, so it is served rather than
+        # reset or closed as idle.  Each such connection closes after
+        # its response.
+        self._accept()
+        self._sel.unregister(self._listener)
+        self._listener.close()
+        for conn in list(self._conns.values()):
+            if not conn.busy and conn.events & selectors.EVENT_READ:
+                conn.close_after_write = True
+                self._handle_read(conn)
+        self._draining = True
+        # Idle connections have nothing to wait for.
+        for conn in list(self._conns.values()):
+            if not conn.busy and not conn.out_pending:
+                self._close_conn(conn)
 
     def _accept(self) -> None:
         for _ in range(_MAX_ACCEPTS_PER_WAKE):
@@ -373,6 +418,9 @@ class NutritionService:
             self._set_events(conn, selectors.EVENT_READ)
             self._conns[sock.fileno()] = conn
             self.state.connections.opened += 1
+            # The request usually comes with the connection: read it
+            # now, not after this turn's estimation.
+            self._handle_read(conn)
 
     def _set_events(self, conn: _Connection, mask: int) -> None:
         if mask == conn.events:
@@ -443,7 +491,7 @@ class NutritionService:
         """Serve buffered complete requests, in order, up to the bound."""
         served = 0
         while served < _MAX_REQUESTS_PER_PUMP:
-            if self._stop_requested:
+            if self._draining:
                 return
             try:
                 request = conn.parser.next_request()
@@ -488,6 +536,15 @@ class NutritionService:
             fast = dispatch_fast(
                 self.state, request.method, request.path, payload
             )
+            if isinstance(fast, Prepared) and fast.endpoint.on_loop:
+                admission = admit(self.state, request.path)
+                if not isinstance(admission, Response):
+                    conn.busy = True
+                    self._fifo.append(
+                        (conn, request.method, request.path, fast, admission)
+                    )
+                    return
+                fast = admission  # shed: 503 now
             if isinstance(fast, Response):
                 self._send_response(conn, fast)
                 if conn.sock.fileno() < 0 or conn.close_after_write:
@@ -501,7 +558,42 @@ class NutritionService:
             self._runnable.append(conn)
 
     # ------------------------------------------------------------------
-    # estimation jobs (worker pool)
+    # estimation: the loop's FIFO, then the worker pool
+
+    def _estimate_head(self) -> None:
+        """Estimate the oldest admitted request here, if nothing waits.
+
+        The first request in the FIFO that can take an admission slot
+        and the estimator lock *now* runs on this thread; those before
+        it go to the pool, whose threads wait for both as for any
+        request.  At most one estimation per turn, so socket events
+        are served between any two.  While admission is
+        full the head goes to the pool too: an estimation here would
+        leave every arrival unread, so none could be shed at once.
+        """
+        admission_control = self.state.admission
+        lock = self.state.estimator_lock
+        while self._fifo:
+            conn, method, path, prepared, admission = self._fifo.popleft()
+            if conn.sock.fileno() < 0:
+                admission.release()
+                continue
+            if not admission_control.full() and lock.acquire(blocking=False):
+                if admission.try_start():
+                    try:
+                        response = dispatch(
+                            self.state, method, path, None, prepared,
+                            admission,
+                        )
+                    finally:
+                        lock.release()
+                    self.state.connections.estimated_on_loop += 1
+                    self._deliver(conn, response)
+                    return
+                lock.release()
+            self._submit(
+                conn, method, path, prepared=prepared, admission=admission
+            )
 
     def _submit(
         self,
@@ -510,17 +602,21 @@ class NutritionService:
         path: str,
         *,
         prepared: Prepared | None = None,
+        admission: Admission | None = None,
         raw_body: bytes | None = None,
     ) -> None:
         """Run :func:`dispatch` on a pool thread for *raw_body* (decoded
         there) or for the *prepared* request :func:`dispatch_fast`
-        already validated."""
+        already validated (and, from the FIFO, :func:`admit` queued)."""
         conn.busy = True
+        self.state.connections.estimated_on_pool += 1
         state = self.state
 
         def job() -> None:
             if prepared is not None:
-                response = dispatch(state, method, path, None, prepared)
+                response = dispatch(
+                    state, method, path, None, prepared, admission
+                )
             else:
                 try:
                     decoded = json.loads(raw_body)
@@ -549,26 +645,28 @@ class NutritionService:
                 if not self._completions:
                     return
                 conn, response = self._completions.popleft()
-            conn.busy = False
-            if conn.sock.fileno() < 0:
-                continue
-            if conn.peer_closed:
-                # EOF arrived while estimating: try to deliver anyway
-                # (half-close), then close regardless.
-                conn.close_after_write = True
-            if self._stop_requested:
-                conn.close_after_write = True
-            self._send_response(conn, response)
-            if conn.sock.fileno() < 0:
-                continue
-            if conn.paused:
-                conn.paused = False
-                if not conn.peer_closed:
-                    self._set_events(
-                        conn, conn.events | selectors.EVENT_READ
-                    )
-            if conn.parser.buffered_bytes() and not conn.close_after_write:
-                self._runnable.append(conn)
+            self._deliver(conn, response)
+
+    def _deliver(self, conn: _Connection, response: Response) -> None:
+        """Write a finished estimation's response; resume the conn."""
+        conn.busy = False
+        if conn.sock.fileno() < 0:
+            return
+        if conn.peer_closed:
+            # EOF arrived while estimating: try to deliver anyway
+            # (half-close), then close regardless.
+            conn.close_after_write = True
+        if self._stop_requested:
+            conn.close_after_write = True
+        self._send_response(conn, response)
+        if conn.sock.fileno() < 0:
+            return
+        if conn.paused:
+            conn.paused = False
+            if not conn.peer_closed:
+                self._set_events(conn, conn.events | selectors.EVENT_READ)
+        if conn.parser.buffered_bytes() and not conn.close_after_write:
+            self._runnable.append(conn)
 
     # ------------------------------------------------------------------
     # writing
@@ -665,6 +763,10 @@ def serve(
         return serve_prefork(config, ready_file=ready_file)
 
     service = NutritionService(config)
+    # Everything built so far — database, indexes, the warm estimator
+    # — lives as long as the process: keep the collector's full passes
+    # off it, so they walk only what requests allocate.
+    gc.freeze()
     stop = threading.Event()
 
     def _request_stop(signum, _frame) -> None:

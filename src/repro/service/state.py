@@ -27,13 +27,18 @@ them, and splices a memoized fragment only where the final outcome
 :class:`~repro.service.codec.SplicedBody` pieces that share those
 fragment bytes.
 
-Estimation runs under one lock.  The pipeline is pure Python and
-CPU-bound, so the GIL serializes the work anyway; the lock keeps the
-line memo and the estimator's memos (matcher, quantity) coherent
-across server threads.  None of them changes a result: each
-request's unit statistics are a value built and read inside that
-request, and the estimator holds no table of its own.  Cache
-hits and ``/healthz``/``/metrics`` never take the lock.
+Estimation runs under one lock, :attr:`ServiceState.estimator_lock`.
+The pipeline is pure Python and CPU-bound, so the GIL serializes the
+work anyway; the lock keeps the line memo and the estimator's memos
+(matcher, quantity) coherent between the server's event-loop thread,
+which estimates ``/v1/estimate`` cache misses itself, and its pool
+threads, which run everything else.  The lock is reentrant: the loop
+takes it without waiting *before* it dispatches a request (a held lock
+sends the request to the pool instead), and the estimation path takes
+it again inside.  None of the memos changes a result: each request's
+unit statistics are a value built and read inside that request, and
+the estimator holds no table of its own.  Cache hits and
+``/healthz``/``/metrics`` never take the lock.
 """
 
 from __future__ import annotations
@@ -369,7 +374,7 @@ class ServiceState:
         self._pipeline_counters: Counter[str] = Counter()
         self._degraded_batches = 0
         self._deadline_exceeded = 0
-        self._estimator_lock = threading.Lock()
+        self._estimator_lock = threading.RLock()
         # Separate lock for engine fan-out: the pool never touches the
         # shared estimator, so a large batch must not stall concurrent
         # estimate/match/parse traffic behind it.
@@ -388,6 +393,11 @@ class ServiceState:
     def estimator(self) -> NutritionEstimator:
         """The warm shared estimator (tests and examples peek at it)."""
         return self._estimator
+
+    @property
+    def estimator_lock(self) -> threading.RLock:
+        """The reentrant lock every use of the warm estimator holds."""
+        return self._estimator_lock
 
     def close(self) -> None:
         """Release the batch engine's persistent pool (idempotent).
